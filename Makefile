@@ -63,11 +63,13 @@ benchjson:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Short fuzzing pass over the persistence layer; CI runs the seed corpus
-# via plain `go test`, this target digs deeper locally.
+# Short fuzzing pass over the decoders of bytes from disk or flags; CI
+# runs the seed corpora via plain `go test`, this target digs deeper
+# locally.
 fuzz:
 	$(GO) test -run FuzzLoadRHMD -fuzz FuzzLoadRHMD -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/checkpoint/
+	$(GO) test -run FuzzParseObjectives -fuzz FuzzParseObjectives -fuzztime 30s ./internal/obs/slo/
 
 # Durability suite: every-byte-boundary crash injection, corruption
 # fallback, and the SIGKILL-and-restart recovery test, under -race.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"rhmd/internal/isa"
 	"rhmd/internal/prog"
@@ -142,10 +143,45 @@ type WindowSet struct {
 // Rows returns the feature matrix for one kind.
 func (w *WindowSet) Rows(k Kind) [][]float64 { return w.Vectors[k] }
 
-// extractor implements trace.Sink, accumulating all three feature
+// archOps lists, per architectural event, the opcodes that raise it by
+// themselves whatever their operands and outcome. These events are
+// derived from a window's opcode counts when it closes; the outcome
+// events (branches, mispredictions, cache misses, unaligned accesses)
+// are counted as they happen.
+var archOps = func() (t [ArchDim][]isa.Op) {
+	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {
+		if op.IsLoad() {
+			t[ArchLoads] = append(t[ArchLoads], op)
+		}
+		if op.IsStore() {
+			t[ArchStores] = append(t[ArchStores], op)
+		}
+		switch op.Class() {
+		case isa.ClassCall:
+			t[ArchCalls] = append(t[ArchCalls], op)
+		case isa.ClassRet:
+			t[ArchReturns] = append(t[ArchReturns], op)
+		case isa.ClassSystem:
+			t[ArchSyscalls] = append(t[ArchSyscalls], op)
+		case isa.ClassStack:
+			t[ArchStackOps] = append(t[ArchStackOps], op)
+		}
+	}
+	return t
+}()
+
+// pipelines recycles µarch pipelines across extractions: their caches
+// are most of what one extraction would otherwise allocate.
+var pipelines = sync.Pool{New: func() any { return uarch.NewDefaultPipeline() }}
+
+// extractor implements trace.BodySink, accumulating all three feature
 // families per window over a shared µarch pipeline. nextLen yields the
 // length of each successive window, allowing both fixed-period and
 // scheduled (randomized-period) extraction.
+//
+// Every feature is a raw count divided once when its window closes, so
+// the counters are integers: a float64 incremented by one from zero is
+// exact, and the quotients are the same bits either way.
 type extractor struct {
 	nextLen func() int
 	pipe    *uarch.Pipeline
@@ -154,42 +190,22 @@ type extractor struct {
 	start    int
 	total    int
 	count    int
-	opCounts [isa.NumOps]float64
-	memHist  [MemBins]float64
-	memRefs  float64
-	arch     [ArchDim]float64
+	opCounts [256]int // indexed by the whole isa.Op range: no bounds check
+	memHist  [MemBins]int
+	memRefs  int
+	arch     [ArchDim]int // outcome events only; see archOps
 	lastAddr uint64
 	haveAddr bool
 
 	out WindowSet
 }
 
-// Event implements trace.Sink.
+// Event implements trace.Sink. Exec sends only block terminators here.
 func (x *extractor) Event(e *trace.Event) {
 	o := x.pipe.Process(e)
-
 	x.opCounts[e.Op]++
-
 	if o.IsMem {
-		x.memRefs++
-		if x.haveAddr {
-			x.memHist[deltaBin(x.lastAddr, e.Addr)]++
-		}
-		x.lastAddr = e.Addr
-		x.haveAddr = true
-	}
-
-	switch {
-	case o.IsBranch:
-		x.arch[ArchBranches]++
-		if o.Taken {
-			x.arch[ArchTakenBranches]++
-		}
-		if o.Mispredict {
-			x.arch[ArchMispredicts]++
-		}
-	}
-	if o.IsMem {
+		x.memRef(e.Addr)
 		if o.L1Miss {
 			x.arch[ArchL1Misses]++
 		}
@@ -200,29 +216,66 @@ func (x *extractor) Event(e *trace.Event) {
 			x.arch[ArchUnaligned]++
 		}
 	}
-	info := e.Op.Info()
-	if info.Load {
-		x.arch[ArchLoads]++
+	if o.IsBranch {
+		x.arch[ArchBranches]++
+		if o.Taken {
+			x.arch[ArchTakenBranches]++
+		}
+		if o.Mispredict {
+			x.arch[ArchMispredicts]++
+		}
 	}
-	if info.Store {
-		x.arch[ArchStores]++
-	}
-	switch e.Op.Class() {
-	case isa.ClassCall:
-		x.arch[ArchCalls]++
-	case isa.ClassRet:
-		x.arch[ArchReturns]++
-	case isa.ClassSystem:
-		x.arch[ArchSyscalls]++
-	case isa.ClassStack:
-		x.arch[ArchStackOps]++
-	}
-
 	x.count++
 	x.total++
 	if x.count >= x.curLen {
 		x.flush()
 	}
+}
+
+// Body implements trace.BodySink: it counts a body run, closing windows
+// wherever they end inside it. Body instructions are never branches, so
+// only the cache sees them.
+func (x *extractor) Body(b *trace.Body) {
+	ins, addrs := b.Ins, b.Addrs
+	cache := x.pipe.Cache
+	for len(ins) > 0 {
+		k := min(x.curLen-x.count, len(ins))
+		for i := range ins[:k] {
+			op := ins[i].Op
+			x.opCounts[op]++
+			if !op.IsMem() {
+				continue
+			}
+			a := addrs[0]
+			addrs = addrs[1:]
+			x.memRef(a)
+			if a%4 != 0 {
+				x.arch[ArchUnaligned]++
+			}
+			if l1, l2 := cache.Access(a); l1 {
+				x.arch[ArchL1Misses]++
+				if l2 {
+					x.arch[ArchL2Misses]++
+				}
+			}
+		}
+		ins = ins[k:]
+		x.count += k
+		x.total += k
+		if x.count >= x.curLen {
+			x.flush()
+		}
+	}
+}
+
+// memRef records one memory reference in the address-delta histogram.
+func (x *extractor) memRef(a uint64) {
+	x.memRefs++
+	if x.haveAddr {
+		x.memHist[deltaBin(x.lastAddr, a)]++
+	}
+	x.lastAddr = a
+	x.haveAddr = true
 }
 
 // deltaBin maps the absolute address difference between consecutive
@@ -251,19 +304,27 @@ func deltaBin(prev, cur uint64) int {
 func (x *extractor) flush() {
 	n := float64(x.count)
 
-	iv := make([]float64, isa.NumOps)
-	for i := range iv {
-		iv[i] = x.opCounts[i] / n
-	}
-	mv := make([]float64, MemBins)
-	if x.memRefs > 0 {
-		for i := range mv {
-			mv[i] = x.memHist[i] / x.memRefs
+	for e, ops := range archOps {
+		for _, op := range ops {
+			x.arch[e] += x.opCounts[op]
 		}
 	}
-	av := make([]float64, ArchDim)
+	// One allocation holds the window's three rows.
+	row := make([]float64, isa.NumOps+MemBins+ArchDim)
+	iv := row[:isa.NumOps:isa.NumOps]
+	mv := row[isa.NumOps : isa.NumOps+MemBins : isa.NumOps+MemBins]
+	av := row[isa.NumOps+MemBins:]
+	for i := range iv {
+		iv[i] = float64(x.opCounts[i]) / n
+	}
+	if x.memRefs > 0 {
+		refs := float64(x.memRefs)
+		for i := range mv {
+			mv[i] = float64(x.memHist[i]) / refs
+		}
+	}
 	for i := range av {
-		av[i] = x.arch[i] / n
+		av[i] = float64(x.arch[i]) / n
 	}
 
 	x.out.Vectors[Instructions] = append(x.out.Vectors[Instructions], iv)
@@ -275,10 +336,22 @@ func (x *extractor) flush() {
 	x.start = x.total
 	x.count = 0
 	x.curLen = x.nextLen()
-	x.opCounts = [isa.NumOps]float64{}
-	x.memHist = [MemBins]float64{}
+	x.opCounts = [256]int{}
+	x.memHist = [MemBins]int{}
 	x.memRefs = 0
-	x.arch = [ArchDim]float64{}
+	x.arch = [ArchDim]int{}
+}
+
+// run traces p into x on a pooled pipeline, reset first so no earlier
+// program's state leaks into these features.
+func (x *extractor) run(p *prog.Program, maxInstr int) error {
+	pipe := pipelines.Get().(*uarch.Pipeline)
+	pipe.Reset()
+	x.pipe = pipe
+	_, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x)
+	x.pipe = nil
+	pipelines.Put(pipe)
+	return err
 }
 
 // Extract traces p for maxInstr committed instructions and returns the
@@ -295,10 +368,9 @@ func Extract(p *prog.Program, period, maxInstr int) (*WindowSet, error) {
 	x := &extractor{
 		nextLen: func() int { return period },
 		curLen:  period,
-		pipe:    uarch.NewDefaultPipeline(),
 	}
 	x.out.Period = period
-	if _, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x); err != nil {
+	if err := x.run(p, maxInstr); err != nil {
 		return nil, err
 	}
 	if x.out.Windows == 0 {
@@ -330,9 +402,8 @@ func ExtractScheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSe
 			return n
 		},
 		curLen: first,
-		pipe:   uarch.NewDefaultPipeline(),
 	}
-	if _, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x); err != nil {
+	if err := x.run(p, maxInstr); err != nil {
 		return nil, err
 	}
 	if x.out.Windows == 0 {

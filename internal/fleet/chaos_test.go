@@ -142,9 +142,36 @@ func TestChaosKillShardCrashAtByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := watchShard(fl, target)
+	// Hold the dead shard in restarting until the health endpoint has
+	// shown the outage and a reroute homed on it. With six busy workers
+	// on a small host, the polling watcher can otherwise sleep through
+	// the whole outage; the assertions below then check what the
+	// endpoint reported, not whether a poll happened to land in time.
+	testHookRestarting = func(shard int) {
+		if shard != target {
+			return
+		}
+		deadline := time.After(30 * time.Second)
+		select {
+		case <-w.outage:
+		case <-deadline:
+			return
+		}
+		for {
+			if st, _, err := healthSnapshot(fl); err == nil && st.Health[target].Rerouted > 0 {
+				return
+			}
+			select {
+			case <-deadline:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	t.Cleanup(func() { testHookRestarting = nil })
 	fl.Start(context.Background())
 	h := startHarness(f, fl)
-	w := watchShard(fl, target)
 
 	// Wait for the scripted disk death to surface as an outage.
 	select {

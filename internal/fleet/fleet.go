@@ -419,6 +419,13 @@ func (f *Fleet) kill(sh *shard, reason string) {
 	go f.restart(sh, reason)
 }
 
+// testHookRestarting, when set by a test, runs on the restart goroutine
+// once a shard is marked restarting, before its rebuild. It lets a test
+// hold the outage open until it has observed it: an outage lasts only
+// as long as the teardown and restore, which can be shorter than the
+// scheduling delay of a goroutine polling the health endpoint.
+var testHookRestarting func(shard int)
+
 // restart is the supervisor's recovery sequence for one dead shard:
 //
 //	serving → degraded:   reroute begins; intake stops; the old
@@ -476,6 +483,9 @@ func (f *Fleet) restart(sh *shard, reason string) {
 	}
 
 	f.setState(sh, Restarting)
+	if testHookRestarting != nil {
+		testHookRestarting(sh.idx)
+	}
 	newGen := oldGen + 1
 	for attempt := 0; attempt <= f.cfg.RestartRetries; attempt++ {
 		if attempt > 0 {

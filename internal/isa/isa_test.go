@@ -127,3 +127,34 @@ func TestInvalidOpcodeString(t *testing.T) {
 		t.Fatal("invalid opcode String should not panic")
 	}
 }
+
+func TestPredicateTablesMatchInfo(t *testing.T) {
+	for op := Op(0); op < Op(NumOps); op++ {
+		info := op.Info()
+		if op.Class() != info.Class || op.Bytes() != info.Bytes ||
+			op.IsLoad() != info.Load || op.IsStore() != info.Store ||
+			op.IsMem() != (info.Load || info.Store) {
+			t.Fatalf("%s: table predicates disagree with Info %+v", op, info)
+		}
+	}
+}
+
+func TestUndefinedOpcodePredicates(t *testing.T) {
+	// The table predicates answer for every uint8 without panicking; an
+	// undefined opcode has no class, length or behaviour.
+	for v := NumOps; v < 256; v++ {
+		op := Op(v)
+		if op.Valid() {
+			t.Fatalf("op %d reported valid", v)
+		}
+		if op.IsMem() || op.IsLoad() || op.IsStore() || op.IsControl() || op.Injectable() || op.Bytes() != 0 {
+			t.Fatalf("op %d has behaviour", v)
+		}
+		if op.Class() < Class(NumClasses) {
+			t.Fatalf("op %d has class %s", v, op.Class())
+		}
+	}
+	if !Op(NumOps - 1).Valid() {
+		t.Fatal("last opcode reported invalid")
+	}
+}

@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +167,31 @@ func TestValidateRejectsControlInBody(t *testing.T) {
 	prog.Funcs[0].Blocks[0].Body[0] = Instruction{Op: isa.JMP}
 	if prog.Validate() == nil {
 		t.Fatal("control op in body must fail validation")
+	}
+}
+
+func TestValidateRejectsInvalidOpcode(t *testing.T) {
+	// An undefined body opcode is an error naming its location, not a
+	// panic from an opcode predicate.
+	prog := mustGenerate(t, testProfile(), 13)
+	fi, bi := len(prog.Funcs)-1, -1
+	for i, b := range prog.Funcs[fi].Blocks {
+		if len(b.Body) >= 2 {
+			bi = i
+			break
+		}
+	}
+	if bi < 0 {
+		t.Fatal("no block with a two-instruction body")
+	}
+	prog.Funcs[fi].Blocks[bi].Body[1] = Instruction{Op: isa.Op(200)}
+	err := prog.Validate()
+	if err == nil {
+		t.Fatal("invalid opcode must fail validation")
+	}
+	want := fmt.Sprintf("f%d b%d i1: invalid opcode 200", fi, bi)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
 	}
 }
 

@@ -1,0 +1,122 @@
+package trace
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+
+	"rhmd/internal/isa"
+	"rhmd/internal/prog"
+)
+
+// expander is a BodySink that turns each body run back into the events
+// a plain Sink would have received.
+type expander struct {
+	evs []Event
+}
+
+func (x *expander) Event(e *Event) { x.evs = append(x.evs, *e) }
+
+func (x *expander) Body(b *Body) {
+	pc, addrs := b.PC, b.Addrs
+	for _, ins := range b.Ins {
+		e := Event{Op: ins.Op, PC: pc, Injected: ins.Injected}
+		if ins.Op.IsMem() {
+			e.Addr, addrs = addrs[0], addrs[1:]
+		}
+		x.evs = append(x.evs, e)
+		pc += uint64(ins.Op.Bytes())
+	}
+	if len(addrs) != 0 {
+		panic("body carries more addresses than memory instructions")
+	}
+}
+
+// bodyTestPrograms returns one program per family and a block-level
+// injected variant of each.
+func bodyTestPrograms(t testing.TB) []*prog.Program {
+	t.Helper()
+	payload, err := prog.NewPayload([]isa.Op{isa.MOVLD, isa.XOR, isa.MOVST}, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*prog.Program
+	for fi := range prog.AllFamilies() {
+		p := genProgram(t, fi, uint64(900+fi))
+		out = append(out, p, prog.Inject(p, payload, prog.BlockLevel))
+	}
+	return out
+}
+
+func TestBodySinkSeesPlainStream(t *testing.T) {
+	for _, p := range bodyTestPrograms(t) {
+		for _, orig := range []bool{false, true} {
+			for _, n := range []int{1, 7, 20000, 20500} {
+				cfg := Config{MaxInstructions: n, BudgetOriginalOnly: orig}
+				var plain []Event
+				stPlain, err := Exec(p, cfg, SinkFunc(func(e *Event) { plain = append(plain, *e) }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var body expander
+				stBody, err := Exec(p, cfg, &body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stNil, err := Exec(p, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stBody != stPlain || stNil != stPlain {
+					t.Fatalf("%s %+v: stats differ:\nplain %+v\nbody  %+v\nnil   %+v", p.Name, cfg, stPlain, stBody, stNil)
+				}
+				if len(plain) != stPlain.Total || len(body.evs) != len(plain) {
+					t.Fatalf("%s %+v: %d plain events, %d from bodies, %d in stats", p.Name, cfg, len(plain), len(body.evs), stPlain.Total)
+				}
+				for i := range plain {
+					if body.evs[i] != plain[i] {
+						t.Fatalf("%s %+v: event %d from bodies %+v, plain %+v", p.Name, cfg, i, body.evs[i], plain[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamDigestPinned pins a hash of the full event streams and stats
+// of the test programs under both budget modes.
+func TestStreamDigestPinned(t *testing.T) {
+	const want = 0xbe9750186a911578
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	flag := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	sink := SinkFunc(func(e *Event) {
+		put(uint64(e.Op) | flag(e.Taken)<<8 | flag(e.Injected)<<9)
+		put(e.PC)
+		put(e.Addr)
+		put(e.Target)
+	})
+	for _, p := range bodyTestPrograms(t) {
+		for _, orig := range []bool{false, true} {
+			st, err := Exec(p, Config{MaxInstructions: 20500, BudgetOriginalOnly: orig}, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []int{st.Total, st.Injected, st.Loads, st.Stores, st.Branches, st.Taken, st.Calls, st.Returns, st.Restarts} {
+				put(uint64(v))
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("stream digest %016x, pinned %016x", got, uint64(want))
+	}
+}

@@ -46,6 +46,26 @@ type SinkFunc func(e *Event)
 // Event calls f(e).
 func (f SinkFunc) Event(e *Event) { f(e) }
 
+// Body is one executed run of a basic block's straight-line body: the
+// instructions in execution order, and the effective addresses of the
+// memory instructions among them, also in order.
+type Body struct {
+	Ins   []prog.Instruction
+	Addrs []uint64
+	PC    uint64 // address of Ins[0]
+}
+
+// BodySink is a Sink that also takes whole block bodies. Exec hands it
+// every body run through Body and only the block terminators through
+// Event. A Body call stands for exactly the events a plain Sink would
+// get one at a time, in the same order, so where a consumer's window
+// ends inside a body, the sink splits the run itself. Exec reuses the
+// Body and its slices after the call returns.
+type BodySink interface {
+	Sink
+	Body(b *Body)
+}
+
 // MultiSink fans one stream out to several consumers (e.g. multiple
 // feature extractors sharing one execution).
 type MultiSink []Sink
@@ -201,7 +221,9 @@ type frame struct {
 
 // Exec runs p under cfg, delivering every executed instruction to sink.
 // It returns execution statistics. sink may be nil to run for statistics
-// only. Exec never mutates p.
+// only, in which case no memory addresses are generated: they come from
+// their own random stream and never steer control flow. A BodySink gets
+// block bodies whole (see BodySink). Exec never mutates p.
 func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 	if cfg.MaxInstructions <= 0 {
 		return Stats{}, fmt.Errorf("trace: MaxInstructions must be positive, got %d", cfg.MaxInstructions)
@@ -216,13 +238,22 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 
 	r := rng.NewKeyed(p.Seed, "trace")
 	mem := newMemState(rng.NewKeyed(p.Seed, "mem"), p.Mem)
+	bodySink, _ := sink.(BodySink)
 
 	var st Stats
 	var stack []frame
 	fi, bi := 0, 0
 	var ev Event
-	// Live trip counters for counted loops, keyed by global block id.
-	loops := map[int]int{}
+	var body Body
+	// Live trip counters for counted loops, indexed by global block id
+	// (firstBlock[fi] + bi) and stored plus one: 0 means no live entry.
+	firstBlock := make([]int, len(p.Funcs))
+	nBlocks := 0
+	for i, f := range p.Funcs {
+		firstBlock[i] = nBlocks
+		nBlocks += len(f.Blocks)
+	}
+	trips := make([]int, nBlocks)
 
 	budgetLeft := func() bool {
 		if cfg.BudgetOriginalOnly {
@@ -231,43 +262,68 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 		return st.Total < cfg.MaxInstructions
 	}
 
-	emit := func(e *Event) {
-		st.Total++
-		if e.Injected {
-			st.Injected++
-		}
-		info := e.Op.Info()
-		if info.Load {
-			st.Loads++
-		}
-		if info.Store {
-			st.Stores++
-		}
-		if sink != nil {
-			sink.Event(e)
-		}
-	}
-
 	for budgetLeft() {
 		f := p.Funcs[fi]
 		b := f.Blocks[bi]
-		pc := b.Addr
-		for i := range b.Body {
-			ins := &b.Body[i]
-			ev = Event{Op: ins.Op, PC: pc, Injected: ins.Injected}
-			if ins.Op.IsMem() {
-				ev.Addr = mem.addr(ins.Op, ins.Mem)
+
+		// The body run ends early at the instruction that exhausts the
+		// budget.
+		ins := b.Body
+		if cfg.BudgetOriginalOnly {
+			room := cfg.MaxInstructions - st.Original()
+			for i := range ins {
+				if !ins[i].Injected {
+					if room--; room == 0 {
+						ins = ins[:i+1]
+						break
+					}
+				}
 			}
-			emit(&ev)
-			pc += uint64(ins.Op.Bytes())
-			if !budgetLeft() {
-				return st, nil
+		} else if room := cfg.MaxInstructions - st.Total; len(ins) > room {
+			ins = ins[:room]
+		}
+		addrs := body.Addrs[:0]
+		size := 0
+		for i := range ins {
+			op := ins[i].Op
+			size += op.Bytes()
+			if ins[i].Injected {
+				st.Injected++
 			}
+			if op.IsLoad() {
+				st.Loads++
+			}
+			if op.IsStore() {
+				st.Stores++
+			}
+			if op.IsMem() && sink != nil {
+				addrs = append(addrs, mem.addr(op, ins[i].Mem))
+			}
+		}
+		st.Total += len(ins)
+		body = Body{Ins: ins, Addrs: addrs, PC: b.Addr}
+		switch {
+		case len(ins) == 0:
+		case bodySink != nil:
+			bodySink.Body(&body)
+		case sink != nil:
+			pc := b.Addr
+			for i := range ins {
+				ev = Event{Op: ins[i].Op, PC: pc, Injected: ins[i].Injected}
+				if ev.Op.IsMem() {
+					ev.Addr, addrs = addrs[0], addrs[1:]
+				}
+				sink.Event(&ev)
+				pc += uint64(ev.Op.Bytes())
+			}
+		}
+		if !budgetLeft() {
+			return st, nil
 		}
 
 		t := b.Term
 		if op, ok := t.Op(); ok {
-			ev = Event{Op: op, PC: pc}
+			ev = Event{Op: op, PC: b.Addr + uint64(size)}
 			switch t.Kind {
 			case prog.TermBranch:
 				st.Branches++
@@ -278,9 +334,9 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				}
 			case prog.TermLoop:
 				st.Branches++
-				key := fi<<20 | bi
-				left, live := loops[key]
-				if !live {
+				key := firstBlock[fi] + bi
+				left := trips[key] - 1
+				if left < 0 {
 					// Fresh loop entry: draw this entry's trip count.
 					left = int(r.LogNorm(logMean(t.IterMean), 0.6))
 					if left < 1 {
@@ -291,18 +347,31 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				if left > 0 {
 					ev.Taken = true
 					st.Taken++
-					loops[key] = left - 1
+					trips[key] = left
 				} else {
-					delete(loops, key)
+					trips[key] = 0
 				}
 			case prog.TermCall:
 				st.Calls++
-				ev.Addr = mem.addr(isa.CALLN, prog.MemSpec{Pattern: prog.MemStack})
+				if sink != nil {
+					ev.Addr = mem.addr(isa.CALLN, prog.MemSpec{Pattern: prog.MemStack})
+				}
 			case prog.TermRet:
 				st.Returns++
-				ev.Addr = mem.addr(isa.RET, prog.MemSpec{Pattern: prog.MemStack})
+				if sink != nil {
+					ev.Addr = mem.addr(isa.RET, prog.MemSpec{Pattern: prog.MemStack})
+				}
 			}
-			emit(&ev)
+			st.Total++
+			if op.IsLoad() {
+				st.Loads++
+			}
+			if op.IsStore() {
+				st.Stores++
+			}
+			if sink != nil {
+				sink.Event(&ev)
+			}
 		}
 
 		// Advance control flow.

@@ -9,12 +9,18 @@ type Cache struct {
 	ways     int
 	sets     int
 	lineBits uint
+	setBits  uint
 	setMask  uint64
-	// tags[set*ways+way]; lru[set*ways+way] is a per-set age stamp.
+	// tags[set*ways+way] is the way's tag and age[set*ways+way] the clock
+	// of its last access; age 0 marks an invalid way.
 	tags  []uint64
-	valid []bool
 	age   []uint64
 	clock uint64
+	// lastLine is the line the previous access hit or filled, held in
+	// way lastWay: a repeat access to it is a hit without a set scan,
+	// unless a Reset has invalidated that way since.
+	lastLine uint64
+	lastWay  int
 }
 
 // NewCache builds a cache of the given total size in bytes with the given
@@ -34,18 +40,14 @@ func NewCache(sizeBytes, ways, lineSize int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("uarch: set count %d not a power of two", sets)
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < lineSize {
-		lineBits++
-	}
 	n := sets * ways
 	return &Cache{
 		ways:     ways,
 		sets:     sets,
-		lineBits: lineBits,
+		lineBits: log2(lineSize),
+		setBits:  log2(sets),
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, n),
-		valid:    make([]bool, n),
 		age:      make([]uint64, n),
 	}, nil
 }
@@ -64,36 +66,36 @@ func MustCache(sizeBytes, ways, lineSize int) *Cache {
 // it hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> uint(popShift(c.sets))
-	base := set * c.ways
 	c.clock++
-
-	victim, oldest := base, c.age[base]
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.age[i] = c.clock
+	if line == c.lastLine && c.age[c.lastWay] != 0 {
+		c.age[c.lastWay] = c.clock
+		return true
+	}
+	base := int(line&c.setMask) * c.ways
+	tag := line >> c.setBits
+	age := c.age[base : base+c.ways]
+	tags := c.tags[base : base+c.ways]
+	tags = tags[:len(age)] // one length for both: no bounds checks below
+	victim, oldest := 0, age[0]
+	for w, a := range age {
+		if a != 0 && tags[w] == tag {
+			age[w] = c.clock
+			c.lastLine, c.lastWay = line, base+w
 			return true
 		}
-		if !c.valid[i] {
-			victim, oldest = i, 0
-		} else if c.age[i] < oldest {
-			victim, oldest = i, c.age[i]
+		if a < oldest {
+			victim, oldest = w, a
 		}
 	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.age[victim] = c.clock
+	tags[victim] = tag
+	age[victim] = c.clock
+	c.lastLine, c.lastWay = line, base+victim
 	return false
 }
 
 // Reset invalidates every line.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.age[i] = 0
-	}
+	clear(c.age)
 	c.clock = 0
 }
 
@@ -103,9 +105,9 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func popShift(sets int) int {
-	s := 0
-	for 1<<s < sets {
+func log2(v int) uint {
+	s := uint(0)
+	for 1<<s < v {
 		s++
 	}
 	return s

@@ -1,0 +1,123 @@
+package uarch
+
+import (
+	"testing"
+
+	"rhmd/internal/rng"
+)
+
+// lruModel is a direct true-LRU reference: each set is a list of line
+// numbers, most recently used first.
+type lruModel struct {
+	ways, lineSize int
+	sets           [][]uint64
+}
+
+func newLRUModel(sizeBytes, ways, lineSize int) *lruModel {
+	return &lruModel{ways: ways, lineSize: lineSize, sets: make([][]uint64, sizeBytes/lineSize/ways)}
+}
+
+func (m *lruModel) access(addr uint64) bool {
+	line := addr / uint64(m.lineSize)
+	s := &m.sets[line%uint64(len(m.sets))]
+	for i, l := range *s {
+		if l == line {
+			copy((*s)[1:i+1], (*s)[:i])
+			(*s)[0] = line
+			return true
+		}
+	}
+	*s = append([]uint64{line}, *s...)
+	if len(*s) > m.ways {
+		*s = (*s)[:m.ways]
+	}
+	return false
+}
+
+func (m *lruModel) reset() {
+	for i := range m.sets {
+		m.sets[i] = nil
+	}
+}
+
+func TestCacheMatchesTrueLRU(t *testing.T) {
+	geoms := [][3]int{
+		{32 << 10, 8, 64}, // the default L1
+		{1024, 2, 64},
+		{512, 1, 16}, // direct-mapped
+		{256, 4, 1},  // byte lines: every address bit is tag or set
+		{64, 4, 16},  // a single set
+	}
+	for gi, g := range geoms {
+		c := MustCache(g[0], g[1], g[2])
+		m := newLRUModel(g[0], g[1], g[2])
+		r := rng.New(uint64(gi + 1))
+		// The working set spans 4× capacity so evictions are frequent;
+		// repeats and near neighbours exercise the last-line shortcut.
+		span := 4 * g[0]
+		prev := uint64(0)
+		for i := 0; i < 200000; i++ {
+			if r.Intn(5000) == 0 {
+				c.Reset()
+				m.reset()
+			}
+			var a uint64
+			switch r.Intn(4) {
+			case 0:
+				a = prev // exact repeat
+			case 1:
+				a = prev + uint64(r.Intn(g[2]+1)) // same or next line
+			case 2:
+				a = ^uint64(0) - uint64(r.Intn(span)) // top of the address space
+			default:
+				a = uint64(r.Intn(span))
+			}
+			prev = a
+			if got, want := c.Access(a), m.access(a); got != want {
+				t.Fatalf("geometry %v access %d (%#x): hit=%v, true LRU says %v", g, i, a, got, want)
+			}
+		}
+	}
+}
+
+func TestCacheResetThenRepeat(t *testing.T) {
+	// The access right after a Reset must miss even when it repeats the
+	// line the previous access touched.
+	c := MustCache(1024, 2, 64)
+	c.Access(0x40)
+	c.Reset()
+	if c.Access(0x40) {
+		t.Fatal("repeat access hit across Reset")
+	}
+	if !c.Access(0x44) {
+		t.Fatal("same-line access after refill missed")
+	}
+}
+
+// BenchmarkCacheAccess drives an L1-geometry cache with a mixed stream:
+// half sequential words (mostly same-line repeats), half uniform over a
+// 64 KiB working set (set scans with misses).
+func BenchmarkCacheAccess(b *testing.B) {
+	c := MustCache(32<<10, 8, 64)
+	r := rng.New(1)
+	addrs := make([]uint64, 1<<16)
+	seq := uint64(0x1000_0000)
+	for i := range addrs {
+		if i%2 == 0 {
+			seq += 8
+			addrs[i] = seq
+		} else {
+			addrs[i] = 0x2000_0000 + uint64(r.Intn(64<<10))
+		}
+	}
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if c.Access(addrs[i&(len(addrs)-1)]) {
+			hits++
+		}
+	}
+	if b.N > len(addrs) && hits == 0 {
+		b.Fatal("no hits")
+	}
+}
