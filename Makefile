@@ -63,13 +63,14 @@ benchjson:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Short fuzzing pass over the decoders of bytes from disk or flags; CI
-# runs the seed corpora via plain `go test`, this target digs deeper
-# locally.
+# Short fuzzing pass over the decoders of bytes from disk or flags. Plain
+# `go test` only replays the seed corpora; this target mutates inputs,
+# and CI runs it in its own job.
 fuzz:
 	$(GO) test -run FuzzLoadRHMD -fuzz FuzzLoadRHMD -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -run FuzzParseObjectives -fuzz FuzzParseObjectives -fuzztime 30s ./internal/obs/slo/
+	$(GO) test -run FuzzLoadIncident -fuzz FuzzLoadIncident -fuzztime 30s ./internal/obs/incident/
 
 # Durability suite: every-byte-boundary crash injection, corruption
 # fallback, and the SIGKILL-and-restart recovery test, under -race.

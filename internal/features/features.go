@@ -233,37 +233,57 @@ func (x *extractor) Event(e *trace.Event) {
 }
 
 // Body implements trace.BodySink: it counts a body run, closing windows
-// wherever they end inside it. Body instructions are never branches, so
-// only the cache sees them.
+// wherever they end inside it. A whole body that fits in the current
+// window adds its opcode histogram and walks only its addresses. Body
+// instructions are never branches, so only the cache sees them.
 func (x *extractor) Body(b *trace.Body) {
 	ins, addrs := b.Ins, b.Addrs
-	cache := x.pipe.Cache
+	if b.Ops != nil && len(ins) <= x.curLen-x.count {
+		for _, oc := range b.Ops {
+			x.opCounts[oc.Op] += int(oc.N)
+		}
+		x.dataRefs(addrs)
+		x.count += len(ins)
+		x.total += len(ins)
+		if x.count >= x.curLen {
+			x.flush()
+		}
+		return
+	}
 	for len(ins) > 0 {
 		k := min(x.curLen-x.count, len(ins))
+		m := 0
 		for i := range ins[:k] {
 			op := ins[i].Op
 			x.opCounts[op]++
-			if !op.IsMem() {
-				continue
-			}
-			a := addrs[0]
-			addrs = addrs[1:]
-			x.memRef(a)
-			if a%4 != 0 {
-				x.arch[ArchUnaligned]++
-			}
-			if l1, l2 := cache.Access(a); l1 {
-				x.arch[ArchL1Misses]++
-				if l2 {
-					x.arch[ArchL2Misses]++
-				}
+			if op.IsMem() {
+				m++
 			}
 		}
-		ins = ins[k:]
+		x.dataRefs(addrs[:m])
+		ins, addrs = ins[k:], addrs[m:]
 		x.count += k
 		x.total += k
 		if x.count >= x.curLen {
 			x.flush()
+		}
+	}
+}
+
+// dataRefs records a run of body memory references: the address-delta
+// histogram, unaligned accesses and the cache hierarchy.
+func (x *extractor) dataRefs(addrs []uint64) {
+	cache := x.pipe.Cache
+	for _, a := range addrs {
+		x.memRef(a)
+		if a%4 != 0 {
+			x.arch[ArchUnaligned]++
+		}
+		if l1, l2 := cache.Access(a); l1 {
+			x.arch[ArchL1Misses]++
+			if l2 {
+				x.arch[ArchL2Misses]++
+			}
 		}
 	}
 }

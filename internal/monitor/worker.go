@@ -114,12 +114,18 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 			feat.Err = err.Error()
 		}
 		rep.Err = fmt.Errorf("monitor: extracting %q: %w", p.Name, err)
-		e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
-			Dur: time.Since(started), Detail: err.Error()})
+		if e.tracer != nil {
+			e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
+				Dur: time.Since(started), Detail: err.Error()})
+		}
 		return rep
 	}
-	e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
-		Dur: time.Since(started), Detail: fmt.Sprintf("%d windows", ws.Windows)})
+	// Emit is a no-op on a nil tracer, but its Detail would still be
+	// formatted: skip that work on every untraced verdict.
+	if e.tracer != nil {
+		e.tracer.Emit(obs.Event{Kind: obs.EvExtract, Program: p.Name, Detector: -1, Window: -1,
+			Dur: time.Since(started), Detail: fmt.Sprintf("%d windows", ws.Windows)})
+	}
 
 	for w := 0; w < ws.Windows; w++ {
 		idx := seq[w]
@@ -164,13 +170,15 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 	vote := tr.StartSpan(span.StageVote, wk)
 	rep.Malware = float64(rep.Flagged) >= float64(rep.Windows)/2 && rep.Windows > 0
 	tr.EndSpan(vote)
-	verdict := "benign"
-	if rep.Malware {
-		verdict = "malware"
+	if e.tracer != nil {
+		verdict := "benign"
+		if rep.Malware {
+			verdict = "malware"
+		}
+		e.tracer.Emit(obs.Event{Kind: obs.EvVerdict, Program: p.Name, Detector: -1, Window: -1,
+			Dur: time.Since(started), Detail: fmt.Sprintf("%s: %d/%d flagged, %d degraded, %d dropped",
+				verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped)})
 	}
-	e.tracer.Emit(obs.Event{Kind: obs.EvVerdict, Program: p.Name, Detector: -1, Window: -1,
-		Dur: time.Since(started), Detail: fmt.Sprintf("%s: %d/%d flagged, %d degraded, %d dropped",
-			verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped)})
 	return rep
 }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -426,7 +427,10 @@ func (r *Recorder) SLOHook() func(slo.Transition) {
 
 // Load reads and verifies one bundle: schema check, then fingerprint
 // recomputation over the canonical JSON with identity fields zeroed. A
-// mismatch means the bundle was edited or corrupted after sealing.
+// mismatch means the bundle was edited or corrupted after sealing. The
+// fingerprint covers only what decodes into a Bundle, so Load also
+// rejects unknown fields and anything but whitespace after the bundle:
+// neither could otherwise be told from the sealed file.
 func Load(fsys checkpoint.FS, path string) (*Bundle, error) {
 	if fsys == nil {
 		fsys = checkpoint.OSFS{}
@@ -437,8 +441,12 @@ func Load(fsys checkpoint.FS, path string) (*Bundle, error) {
 	}
 	var b Bundle
 	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&b); err != nil {
 		return nil, fmt.Errorf("incident: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("incident: %s: data after the bundle", path)
 	}
 	if b.Schema != SchemaVersion {
 		return nil, fmt.Errorf("incident: %s: schema %q, want %q", path, b.Schema, SchemaVersion)

@@ -189,6 +189,52 @@ func TestTamperDetection(t *testing.T) {
 	}
 }
 
+// sealedBundle captures one bundle and returns its path and bytes.
+func sealedBundle(t *testing.T) (string, []byte) {
+	t.Helper()
+	clock, _ := fixedClock(testBase)
+	rec, err := incident.NewRecorder(incident.Config{Dir: filepath.Join(t.TempDir(), "incidents"), Now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := rec.Trigger(incident.Cause{Kind: "manual", Detail: "pristine"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, data
+}
+
+func TestLoadRejectsTrailingData(t *testing.T) {
+	p, data := sealedBundle(t)
+	if err := os.WriteFile(p, append(data, "\n\t"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := incident.Load(nil, p); err != nil {
+		t.Fatalf("bundle with trailing whitespace rejected: %v", err)
+	}
+	if err := os.WriteFile(p, append(data, `{"schema":"x"}`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := incident.Load(nil, p); err == nil || !strings.Contains(err.Error(), "after the bundle") {
+		t.Fatalf("bundle with appended bytes load = %v, want trailing-data error", err)
+	}
+}
+
+func TestLoadRejectsUnknownField(t *testing.T) {
+	p, data := sealedBundle(t)
+	data = bytes.Replace(data, []byte(`"cause": {`), []byte(`"cause": {"note": "added later", `), 1)
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := incident.Load(nil, p); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("bundle with an added field load = %v, want unknown-field error", err)
+	}
+}
+
 // TestCrashSweep proves the capture path is crash-safe: for every
 // possible crash point inside a capture (one filesystem-operation
 // budget at a time), whatever incident files survive on disk must load

@@ -120,3 +120,66 @@ func TestStreamDigestPinned(t *testing.T) {
 		t.Fatalf("stream digest %016x, pinned %016x", got, uint64(want))
 	}
 }
+
+// opsChecker is a BodySink that checks each body's Ops against the
+// histogram of its Ins: equal on whole bodies, nil on cut ones.
+type opsChecker struct {
+	t          *testing.T
+	name       string
+	lens       map[uint64]int // block address -> static body length
+	whole, cut int
+}
+
+func (c *opsChecker) Event(*Event) {}
+
+func (c *opsChecker) Body(b *Body) {
+	n, ok := c.lens[b.PC]
+	if !ok {
+		c.t.Fatalf("%s: body at %#x starts no block", c.name, b.PC)
+	}
+	if len(b.Ins) < n {
+		c.cut++
+		if b.Ops != nil {
+			c.t.Fatalf("%s: body at %#x cut to %d of %d instructions carries Ops %v", c.name, b.PC, len(b.Ins), n, b.Ops)
+		}
+		return
+	}
+	c.whole++
+	var want, got [256]int
+	for _, in := range b.Ins {
+		want[in.Op]++
+	}
+	for _, oc := range b.Ops {
+		if oc.N <= 0 || got[oc.Op] != 0 {
+			c.t.Fatalf("%s: body at %#x: bad or repeated Ops entry %+v in %v", c.name, b.PC, oc, b.Ops)
+		}
+		got[oc.Op] = int(oc.N)
+	}
+	if got != want {
+		c.t.Fatalf("%s: body at %#x: Ops %v is not the histogram of its %d instructions", c.name, b.PC, b.Ops, len(b.Ins))
+	}
+}
+
+func TestBodyOps(t *testing.T) {
+	c := &opsChecker{t: t}
+	for _, p := range bodyTestPrograms(t) {
+		c.lens = map[uint64]int{}
+		for _, f := range p.Funcs {
+			for _, b := range f.Blocks {
+				c.lens[b.Addr] = len(b.Body)
+			}
+		}
+		for _, orig := range []bool{false, true} {
+			for _, n := range []int{1, 7, 20000, 20500} {
+				cfg := Config{MaxInstructions: n, BudgetOriginalOnly: orig}
+				c.name = p.Name
+				if _, err := Exec(p, cfg, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if c.whole == 0 || c.cut == 0 {
+		t.Fatalf("saw %d whole and %d cut bodies; want both", c.whole, c.cut)
+	}
+}

@@ -17,6 +17,8 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"rhmd/internal/isa"
 	"rhmd/internal/prog"
@@ -52,7 +54,17 @@ func (f SinkFunc) Event(e *Event) { f(e) }
 type Body struct {
 	Ins   []prog.Instruction
 	Addrs []uint64
-	PC    uint64 // address of Ins[0]
+	// Ops is the opcode histogram of Ins when Ins is the whole block
+	// body, one entry per distinct opcode; nil when the budget cut the
+	// run short.
+	Ops []OpCount
+	PC  uint64 // address of Ins[0]
+}
+
+// OpCount is one entry of a sparse opcode histogram.
+type OpCount struct {
+	Op isa.Op
+	N  int32
 }
 
 // BodySink is a Sink that also takes whole block bodies. Exec hands it
@@ -214,6 +226,79 @@ func (m *memState) addr(op isa.Op, spec prog.MemSpec) uint64 {
 	return a
 }
 
+// blockSum is the static summary of one block body. A body that runs
+// whole costs Exec its memory instructions, not its length.
+type blockSum struct {
+	size     int // bytes
+	injected int
+	loads    int
+	stores   int
+	mem      []int32   // positions of the memory instructions
+	ops      []OpCount // opcode histogram
+}
+
+// summaries holds the block summaries of one Exec call. Calls share the
+// storage through summaryPool; each call rebuilds the contents.
+type summaries struct {
+	blocks []blockSum
+	mem    []int32
+	ops    []OpCount
+}
+
+var summaryPool = sync.Pool{New: func() any { return new(summaries) }}
+
+// build summarises every block body of p into s.blocks, indexed by
+// global block id (function-major, as Exec numbers blocks). The
+// position and histogram slices share two backing arrays sized to the
+// program's code, so they never reallocate while being filled.
+func (s *summaries) build(p *prog.Program, nBlocks int) {
+	nIns := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			nIns += len(b.Body)
+		}
+	}
+	sums := slices.Grow(s.blocks[:0], nBlocks)
+	memPos := slices.Grow(s.mem[:0], nIns)
+	ops := slices.Grow(s.ops[:0], nIns)
+	var slot [256]int32 // 1 + index into the current block's ops; 0 = absent
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			var bs blockSum
+			m0, o0 := len(memPos), len(ops)
+			for i, in := range b.Body {
+				op := in.Op
+				bs.size += op.Bytes()
+				if in.Injected {
+					bs.injected++
+				}
+				if op.IsLoad() {
+					bs.loads++
+				}
+				if op.IsStore() {
+					bs.stores++
+				}
+				if op.IsMem() {
+					memPos = append(memPos, int32(i))
+				}
+				if k := slot[op]; k != 0 {
+					ops[o0+int(k)-1].N++
+				} else {
+					ops = append(ops, OpCount{Op: op, N: 1})
+					slot[op] = int32(len(ops) - o0)
+				}
+			}
+			for _, oc := range ops[o0:] {
+				slot[oc.Op] = 0
+			}
+			bs.mem = memPos[m0:len(memPos):len(memPos)]
+			bs.ops = ops[o0:len(ops):len(ops)]
+			sums = append(sums, bs)
+		}
+	}
+	s.blocks, s.mem, s.ops = sums, memPos, ops
+}
+
 // frame is one simulated call-stack entry.
 type frame struct {
 	fn, block int
@@ -223,7 +308,8 @@ type frame struct {
 // It returns execution statistics. sink may be nil to run for statistics
 // only, in which case no memory addresses are generated: they come from
 // their own random stream and never steer control flow. A BodySink gets
-// block bodies whole (see BodySink). Exec never mutates p.
+// block bodies whole (see BodySink). Exec never mutates p, and
+// summarises its block bodies afresh on every call.
 func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 	if cfg.MaxInstructions <= 0 {
 		return Stats{}, fmt.Errorf("trace: MaxInstructions must be positive, got %d", cfg.MaxInstructions)
@@ -254,6 +340,9 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 		nBlocks += len(f.Blocks)
 	}
 	trips := make([]int, nBlocks)
+	sums := summaryPool.Get().(*summaries)
+	defer summaryPool.Put(sums)
+	sums.build(p, nBlocks)
 
 	budgetLeft := func() bool {
 		if cfg.BudgetOriginalOnly {
@@ -266,42 +355,62 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 		f := p.Funcs[fi]
 		b := f.Blocks[bi]
 
+		key := firstBlock[fi] + bi
+		sum := &sums.blocks[key]
+
 		// The body run ends early at the instruction that exhausts the
-		// budget.
+		// budget. Under BudgetOriginalOnly that can only happen when
+		// the body holds at least room original instructions.
 		ins := b.Body
+		whole := true
 		if cfg.BudgetOriginalOnly {
-			room := cfg.MaxInstructions - st.Original()
-			for i := range ins {
-				if !ins[i].Injected {
-					if room--; room == 0 {
-						ins = ins[:i+1]
-						break
+			if room := cfg.MaxInstructions - st.Original(); len(ins)-sum.injected >= room {
+				for i := range ins {
+					if !ins[i].Injected {
+						if room--; room == 0 {
+							ins = ins[:i+1]
+							break
+						}
 					}
 				}
+				whole = len(ins) == len(b.Body)
 			}
 		} else if room := cfg.MaxInstructions - st.Total; len(ins) > room {
-			ins = ins[:room]
+			ins, whole = ins[:room], false
 		}
 		addrs := body.Addrs[:0]
-		size := 0
-		for i := range ins {
-			op := ins[i].Op
-			size += op.Bytes()
-			if ins[i].Injected {
-				st.Injected++
+		var ops []OpCount
+		if whole {
+			st.Injected += sum.injected
+			st.Loads += sum.loads
+			st.Stores += sum.stores
+			if sink != nil {
+				for _, i := range sum.mem {
+					addrs = append(addrs, mem.addr(ins[i].Op, ins[i].Mem))
+				}
 			}
-			if op.IsLoad() {
-				st.Loads++
-			}
-			if op.IsStore() {
-				st.Stores++
-			}
-			if op.IsMem() && sink != nil {
-				addrs = append(addrs, mem.addr(op, ins[i].Mem))
+			ops = sum.ops
+		} else {
+			// The budget runs out inside this body, so no terminator
+			// follows and its size is not needed.
+			for i := range ins {
+				op := ins[i].Op
+				if ins[i].Injected {
+					st.Injected++
+				}
+				if op.IsLoad() {
+					st.Loads++
+				}
+				if op.IsStore() {
+					st.Stores++
+				}
+				if op.IsMem() && sink != nil {
+					addrs = append(addrs, mem.addr(op, ins[i].Mem))
+				}
 			}
 		}
 		st.Total += len(ins)
-		body = Body{Ins: ins, Addrs: addrs, PC: b.Addr}
+		body.Ins, body.Addrs, body.Ops, body.PC = ins, addrs, ops, b.Addr
 		switch {
 		case len(ins) == 0:
 		case bodySink != nil:
@@ -323,7 +432,7 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 
 		t := b.Term
 		if op, ok := t.Op(); ok {
-			ev = Event{Op: op, PC: b.Addr + uint64(size)}
+			ev = Event{Op: op, PC: b.Addr + uint64(sum.size)}
 			switch t.Kind {
 			case prog.TermBranch:
 				st.Branches++
@@ -334,7 +443,6 @@ func Exec(p *prog.Program, cfg Config, sink Sink) (Stats, error) {
 				}
 			case prog.TermLoop:
 				st.Branches++
-				key := firstBlock[fi] + bi
 				left := trips[key] - 1
 				if left < 0 {
 					// Fresh loop entry: draw this entry's trip count.

@@ -11,17 +11,16 @@ type Cache struct {
 	lineBits uint
 	setBits  uint
 	setMask  uint64
-	// tags[set*ways+way] is the way's tag and age[set*ways+way] the clock
-	// of its last access; age 0 marks an invalid way.
-	tags  []uint64
-	age   []uint64
-	clock uint64
-	// lastLine is the line the previous access hit or filled, held in
-	// way lastWay: a repeat access to it is a hit without a set scan,
-	// unless a Reset has invalidated that way since.
-	lastLine uint64
-	lastWay  int
+	// tags[set*ways : (set+1)*ways] holds the set's tags from most to
+	// least recently used. An empty way holds invalidTag, and empty ways
+	// always sit behind the valid ones.
+	tags []uint64
 }
+
+// invalidTag marks an empty way. A tag is an address shifted right by
+// lineBits+setBits, and NewCache rejects the one geometry where that
+// shift is zero, so a tag's top bit is always clear.
+const invalidTag = ^uint64(0)
 
 // NewCache builds a cache of the given total size in bytes with the given
 // associativity and line size (both powers of two).
@@ -40,16 +39,19 @@ func NewCache(sizeBytes, ways, lineSize int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("uarch: set count %d not a power of two", sets)
 	}
-	n := sets * ways
-	return &Cache{
+	if sets == 1 && lineSize == 1 {
+		return nil, fmt.Errorf("uarch: one-set cache of byte lines %d/%d/%d: a tag could be the invalid marker", sizeBytes, ways, lineSize)
+	}
+	c := &Cache{
 		ways:     ways,
 		sets:     sets,
 		lineBits: log2(lineSize),
 		setBits:  log2(sets),
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, n),
-		age:      make([]uint64, n),
-	}, nil
+		tags:     make([]uint64, sets*ways),
+	}
+	c.Reset()
+	return c, nil
 }
 
 // MustCache is NewCache that panics on configuration errors; for use with
@@ -63,40 +65,34 @@ func MustCache(sizeBytes, ways, lineSize int) *Cache {
 }
 
 // Access looks up addr, filling the line on a miss, and reports whether
-// it hit.
+// it hit. A hit at way 0 returns at once. A hit further down moves the
+// tag to the front, shifting the ways before it back by one. A miss
+// drops the last way, empty or least recently used, the same way.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
-	c.clock++
-	if line == c.lastLine && c.age[c.lastWay] != 0 {
-		c.age[c.lastWay] = c.clock
-		return true
-	}
 	base := int(line&c.setMask) * c.ways
 	tag := line >> c.setBits
-	age := c.age[base : base+c.ways]
 	tags := c.tags[base : base+c.ways]
-	tags = tags[:len(age)] // one length for both: no bounds checks below
-	victim, oldest := 0, age[0]
-	for w, a := range age {
-		if a != 0 && tags[w] == tag {
-			age[w] = c.clock
-			c.lastLine, c.lastWay = line, base+w
+	if tags[0] == tag {
+		return true
+	}
+	for w := 1; w < len(tags); w++ {
+		if tags[w] == tag {
+			copy(tags[1:w+1], tags[:w])
+			tags[0] = tag
 			return true
 		}
-		if a < oldest {
-			victim, oldest = w, a
-		}
 	}
-	tags[victim] = tag
-	age[victim] = c.clock
-	c.lastLine, c.lastWay = line, base+victim
+	copy(tags[1:], tags)
+	tags[0] = tag
 	return false
 }
 
 // Reset invalidates every line.
 func (c *Cache) Reset() {
-	clear(c.age)
-	c.clock = 0
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
 }
 
 // Sets returns the number of sets (useful for tests).

@@ -3,7 +3,9 @@ package uarch
 import (
 	"testing"
 
+	"rhmd/internal/prog"
 	"rhmd/internal/rng"
+	"rhmd/internal/trace"
 )
 
 // lruModel is a direct true-LRU reference: each set is a list of line
@@ -94,6 +96,25 @@ func TestCacheResetThenRepeat(t *testing.T) {
 	}
 }
 
+func TestNewCacheRejectsTagWithoutFreeBit(t *testing.T) {
+	// With one set and byte lines the tag is the whole address, so the
+	// all-ones address would equal the invalid marker.
+	if _, err := NewCache(4, 4, 1); err == nil {
+		t.Fatal("one-set byte-line geometry accepted")
+	}
+	// One more set or a wider line frees a bit: the all-ones address
+	// misses on an empty cache, then hits.
+	for _, g := range [][3]int{{8, 4, 1}, {8, 4, 2}} {
+		c := MustCache(g[0], g[1], g[2])
+		if c.Access(^uint64(0)) {
+			t.Fatalf("geometry %v: all-ones address hit an empty cache", g)
+		}
+		if !c.Access(^uint64(0)) {
+			t.Fatalf("geometry %v: all-ones address missed after its fill", g)
+		}
+	}
+}
+
 // BenchmarkCacheAccess drives an L1-geometry cache with a mixed stream:
 // half sequential words (mostly same-line repeats), half uniform over a
 // 64 KiB working set (set scans with misses).
@@ -120,4 +141,39 @@ func BenchmarkCacheAccess(b *testing.B) {
 	if b.N > len(addrs) && hits == 0 {
 		b.Fatal("no hits")
 	}
+}
+
+// BenchmarkHierarchyAccess replays the data addresses of one
+// 80k-instruction program run through the default hierarchy, so L1
+// misses take the L2 path at the rate a real extraction sees.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	p, err := prog.Generate(prog.AllFamilies()[0], rng.New(300), "t", 300)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var addrs []uint64
+	trace.MustExec(p, trace.Config{MaxInstructions: 80000}, trace.SinkFunc(func(e *trace.Event) {
+		if e.Op.IsMem() {
+			addrs = append(addrs, e.Addr)
+		}
+	}))
+	h := NewDefaultHierarchy()
+	b.ResetTimer()
+	l1, l2 := 0, 0
+	for i := 0; i < b.N; i++ {
+		if i%len(addrs) == 0 {
+			h.Reset()
+		}
+		m1, m2 := h.Access(addrs[i%len(addrs)])
+		if m1 {
+			l1++
+		}
+		if m2 {
+			l2++
+		}
+	}
+	if b.N >= len(addrs) && l2 == 0 {
+		b.Fatal("no L2 misses")
+	}
+	b.ReportMetric(float64(l1)/float64(b.N), "l1-miss/access")
 }
