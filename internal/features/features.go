@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"rhmd/internal/isa"
@@ -133,11 +134,48 @@ func (k Kind) Names() []string {
 // [start, end) of window i; for fixed-period extraction every window has
 // length Period, while scheduled extraction (ExtractScheduled) produces
 // variable-length windows and leaves Period at 0.
+//
+// The rows of one extraction share a single backing array. A WindowSet
+// passed to ExtractScheduledInto is overwritten in place, so rows read
+// from it are valid only until it is reused.
 type WindowSet struct {
 	Period  int
 	Windows int
 	Bounds  [][2]int
 	Vectors [NumKinds][][]float64
+
+	// rows backs every row: window i's three rows sit at
+	// rows[i*rowDim : (i+1)*rowDim], in kind order.
+	rows []float64
+}
+
+// rowDim is the length of one window's three rows together.
+const rowDim = isa.NumOps + MemBins + ArchDim
+
+// maxGuessWindows caps the rows ExtractScheduledInto reserves up front
+// for an empty WindowSet, so a schedule of very short windows grows its
+// storage instead of reserving a row per instruction.
+const maxGuessWindows = 128
+
+// reset empties w for a new extraction, keeping its storage.
+func (w *WindowSet) reset() {
+	w.Period, w.Windows = 0, 0
+	w.Bounds = w.Bounds[:0]
+	w.rows = w.rows[:0]
+	for k := range w.Vectors {
+		w.Vectors[k] = w.Vectors[k][:0]
+	}
+}
+
+// index points the row headers into the backing array once every
+// window has closed, so its growth never strands a header.
+func (w *WindowSet) index() {
+	for i := 0; i < w.Windows; i++ {
+		row := w.rows[i*rowDim : (i+1)*rowDim : (i+1)*rowDim]
+		w.Vectors[Instructions] = append(w.Vectors[Instructions], row[:isa.NumOps:isa.NumOps])
+		w.Vectors[Memory] = append(w.Vectors[Memory], row[isa.NumOps:isa.NumOps+MemBins:isa.NumOps+MemBins])
+		w.Vectors[Architectural] = append(w.Vectors[Architectural], row[isa.NumOps+MemBins:])
+	}
 }
 
 // Rows returns the feature matrix for one kind.
@@ -197,7 +235,7 @@ type extractor struct {
 	lastAddr uint64
 	haveAddr bool
 
-	out WindowSet
+	out *WindowSet
 }
 
 // Event implements trace.Sink. Exec sends only block terminators here.
@@ -329,10 +367,17 @@ func (x *extractor) flush() {
 			x.arch[e] += x.opCounts[op]
 		}
 	}
-	// One allocation holds the window's three rows.
-	row := make([]float64, isa.NumOps+MemBins+ArchDim)
-	iv := row[:isa.NumOps:isa.NumOps]
-	mv := row[isa.NumOps : isa.NumOps+MemBins : isa.NumOps+MemBins]
+	out := x.out
+	at := len(out.rows)
+	if at+rowDim > cap(out.rows) {
+		// Double: append's own growth for a slice this size is about
+		// 1.25×, which would copy the rows many more times.
+		out.rows = slices.Grow(out.rows, max(at, rowDim))
+	}
+	out.rows = out.rows[:at+rowDim]
+	row := out.rows[at:]
+	iv := row[:isa.NumOps]
+	mv := row[isa.NumOps : isa.NumOps+MemBins]
 	av := row[isa.NumOps+MemBins:]
 	for i := range iv {
 		iv[i] = float64(x.opCounts[i]) / n
@@ -342,16 +387,15 @@ func (x *extractor) flush() {
 		for i := range mv {
 			mv[i] = float64(x.memHist[i]) / refs
 		}
+	} else {
+		clear(mv) // reused storage may hold an earlier window's bins
 	}
 	for i := range av {
 		av[i] = float64(x.arch[i]) / n
 	}
 
-	x.out.Vectors[Instructions] = append(x.out.Vectors[Instructions], iv)
-	x.out.Vectors[Memory] = append(x.out.Vectors[Memory], mv)
-	x.out.Vectors[Architectural] = append(x.out.Vectors[Architectural], av)
-	x.out.Bounds = append(x.out.Bounds, [2]int{x.start, x.total})
-	x.out.Windows++
+	out.Bounds = append(out.Bounds, [2]int{x.start, x.total})
+	out.Windows++
 
 	x.start = x.total
 	x.count = 0
@@ -362,16 +406,24 @@ func (x *extractor) flush() {
 	x.arch = [ArchDim]int{}
 }
 
-// run traces p into x on a pooled pipeline, reset first so no earlier
-// program's state leaks into these features.
-func (x *extractor) run(p *prog.Program, maxInstr int) error {
+// run traces p into dst on a pooled pipeline, reset first so no earlier
+// program's state leaks into these features. dst is emptied first and
+// keeps its storage; on error it is left empty.
+func (x *extractor) run(dst *WindowSet, p *prog.Program, maxInstr int) error {
+	dst.reset()
+	x.out = dst
 	pipe := pipelines.Get().(*uarch.Pipeline)
 	pipe.Reset()
 	x.pipe = pipe
 	_, err := trace.Exec(p, trace.Config{MaxInstructions: maxInstr}, x)
 	x.pipe = nil
 	pipelines.Put(pipe)
-	return err
+	if err != nil {
+		dst.reset()
+		return err
+	}
+	dst.index()
+	return nil
 }
 
 // Extract traces p for maxInstr committed instructions and returns the
@@ -389,14 +441,16 @@ func Extract(p *prog.Program, period, maxInstr int) (*WindowSet, error) {
 		nextLen: func() int { return period },
 		curLen:  period,
 	}
-	x.out.Period = period
-	if err := x.run(p, maxInstr); err != nil {
+	// The window count is known up front, so the rows are sized exactly.
+	ws := &WindowSet{rows: make([]float64, 0, maxInstr/period*rowDim)}
+	if err := x.run(ws, p, maxInstr); err != nil {
 		return nil, err
 	}
-	if x.out.Windows == 0 {
+	if ws.Windows == 0 {
 		return nil, fmt.Errorf("features: trace of %q produced no complete windows", p.Name)
 	}
-	return &x.out, nil
+	ws.Period = period
+	return ws, nil
 }
 
 // ExtractScheduled traces p with a caller-supplied window schedule: next
@@ -406,12 +460,30 @@ func Extract(p *prog.Program, period, maxInstr int) (*WindowSet, error) {
 // detector randomly selected for it. The trailing partial window is
 // discarded.
 func ExtractScheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSet, error) {
+	ws := new(WindowSet)
+	if err := ExtractScheduledInto(ws, p, next, maxInstr); err != nil {
+		return nil, err
+	}
+	return ws, nil
+}
+
+// ExtractScheduledInto is ExtractScheduled writing into dst, whose
+// bounds, row headers and row storage it reuses: a caller extracting
+// program after program into one WindowSet allocates rows only while
+// its longest extraction still grows them. On error dst is left with
+// no windows.
+func ExtractScheduledInto(dst *WindowSet, p *prog.Program, next func() int, maxInstr int) error {
 	if maxInstr <= 0 {
-		return nil, fmt.Errorf("features: trace budget %d must be positive", maxInstr)
+		return fmt.Errorf("features: trace budget %d must be positive", maxInstr)
 	}
 	first := next()
 	if first <= 0 {
-		return nil, fmt.Errorf("features: schedule produced non-positive window %d", first)
+		return fmt.Errorf("features: schedule produced non-positive window %d", first)
+	}
+	if cap(dst.rows) == 0 {
+		// First guess at the row count: the windows a schedule that
+		// keeps the first length would fit in the budget.
+		dst.rows = make([]float64, 0, min(maxInstr/first, maxGuessWindows)*rowDim)
 	}
 	x := &extractor{
 		nextLen: func() int {
@@ -423,13 +495,13 @@ func ExtractScheduled(p *prog.Program, next func() int, maxInstr int) (*WindowSe
 		},
 		curLen: first,
 	}
-	if err := x.run(p, maxInstr); err != nil {
-		return nil, err
+	if err := x.run(dst, p, maxInstr); err != nil {
+		return err
 	}
-	if x.out.Windows == 0 {
-		return nil, fmt.Errorf("features: scheduled trace of %q produced no complete windows", p.Name)
+	if dst.Windows == 0 {
+		return fmt.Errorf("features: scheduled trace of %q produced no complete windows", p.Name)
 	}
-	return &x.out, nil
+	return nil
 }
 
 // TopDeltaIndices implements the paper's instruction-feature selection:

@@ -2,6 +2,7 @@ package features
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -150,6 +151,9 @@ func sameWindowSet(t *testing.T, what string, got, want *WindowSet) {
 		}
 	}
 	for k := range want.Vectors {
+		if len(got.Vectors[k]) != len(want.Vectors[k]) {
+			t.Fatalf("%s: %v has %d rows, reference %d", what, Kind(k), len(got.Vectors[k]), len(want.Vectors[k]))
+		}
 		for i, row := range want.Vectors[k] {
 			if len(got.Vectors[k][i]) != len(row) {
 				t.Fatalf("%s: %v row %d has %d features, reference %d", what, Kind(k), i, len(got.Vectors[k][i]), len(row))
@@ -332,6 +336,82 @@ func TestExtractDigestPinned(t *testing.T) {
 	}
 	if got := h.Sum64(); got != want {
 		t.Fatalf("feature digest %016x, pinned %016x", got, uint64(want))
+	}
+}
+
+func TestExtractScheduledIntoReuse(t *testing.T) {
+	// One WindowSet takes a long, a short and a long extraction in turn,
+	// then one of 1–40-instruction windows, some with no memory
+	// reference. Each must equal a fresh ExtractScheduled bit for bit, so
+	// nothing of an earlier run survives in it.
+	short := make([]int, 40)
+	for i := range short {
+		short[i] = i + 1
+	}
+	legs := []struct {
+		n    int
+		lens []int
+	}{{80000, []int{1000, 2000}}, {20000, []int{1000, 2000}}, {80000, []int{1000, 2000}}, {20500, short}}
+	progs := oraclePrograms(t)
+	var dst WindowSet
+	for i, leg := range legs {
+		p, n := progs[(3*i+1)%len(progs)], leg.n
+		seed := uint64(40 + i)
+		next, calls := countedSchedule(seed, leg.lens)
+		if err := ExtractScheduledInto(&dst, p, next, n); err != nil {
+			t.Fatal(err)
+		}
+		freshNext, freshCalls := countedSchedule(seed, leg.lens)
+		want, err := ExtractScheduled(p, freshNext, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWindowSet(t, fmt.Sprintf("extraction %d (%s, %d)", i, p.Family, n), &dst, want)
+		if *calls != *freshCalls {
+			t.Fatalf("extraction %d: schedule called %d times, fresh %d", i, *calls, *freshCalls)
+		}
+	}
+	// A failed extraction leaves no windows behind.
+	if err := ExtractScheduledInto(&dst, progs[0], func() int { return 1 << 20 }, 1000); err == nil {
+		t.Fatal("extraction without a complete window succeeded")
+	}
+	if dst.Windows != 0 || len(dst.Bounds) != 0 || len(dst.Rows(Instructions)) != 0 {
+		t.Fatalf("failed extraction left %d windows, %d bounds, %d rows",
+			dst.Windows, len(dst.Bounds), len(dst.Rows(Instructions)))
+	}
+}
+
+// maxWarmAllocs bounds the allocations of a warmed 80k extraction. It
+// measured 13 when pinned: the extractor, the schedule closure and
+// trace.Exec's per-call slices. A fresh extraction's rows alone are
+// about 80 more.
+const maxWarmAllocs = 16
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+func TestExtractScheduledIntoAllocs(t *testing.T) {
+	// A warmed WindowSet allocates no rows, bounds or headers: what is
+	// left is the extractor, its schedule closure and trace.Exec's own
+	// per-call state.
+	if raceEnabled {
+		// The race detector drops sync.Pool items at random, so the
+		// pooled pipeline and summaries are rebuilt at random.
+		t.Skip("allocation count is not stable under the race detector")
+	}
+	p := genProgram(t, 2, 77)
+	next := func() int { return 1000 }
+	var dst WindowSet
+	if err := ExtractScheduledInto(&dst, p, next, 80000); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := ExtractScheduledInto(&dst, p, next, 80000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxWarmAllocs {
+		t.Fatalf("warmed 80k extraction: %.0f allocs, want at most %d", allocs, maxWarmAllocs)
 	}
 }
 

@@ -26,19 +26,20 @@ const (
 	// FaultPanic makes the classification call panic.
 	FaultPanic
 	// FaultLatency stalls the classification call for Fault.Latency
-	// before letting it proceed; with a stall beyond the engine's window
-	// deadline this manifests as a timeout.
+	// before letting it proceed. The call runs on the worker, so the
+	// stall holds the worker for its full length (or until the engine's
+	// context is cancelled); a stall beyond the window deadline then
+	// fails the attempt with ErrDeadline.
 	FaultLatency
 	// FaultCorrupt replaces the feature vector with NaNs before scoring,
 	// modelling silent corruption of the counter bus. The engine detects
 	// the resulting non-finite score and treats it as a failure.
 	FaultCorrupt
-	// FaultWedge blocks the worker itself — not the scored detector call
-	// — until the engine's context is cancelled. Unlike FaultLatency it
-	// cannot be rescued by the window deadline, so a wedged worker holds
-	// its in-flight program forever: the signature of a poisoned queue
-	// that only shard teardown clears. Fleet chaos scripts use it to
-	// prove supervisor wedge detection.
+	// FaultWedge blocks the worker until the engine's context is
+	// cancelled. Unlike FaultLatency it never ends, so a wedged worker
+	// holds its in-flight program forever: the signature of a poisoned
+	// queue that only shard teardown clears. Fleet chaos scripts use it
+	// to prove supervisor wedge detection.
 	FaultWedge
 	// FaultWorkerCrash panics through the worker's panic recovery (the
 	// engine rethrows it past the per-program recover), killing the

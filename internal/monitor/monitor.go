@@ -32,6 +32,7 @@ import (
 
 	"rhmd/internal/checkpoint"
 	"rhmd/internal/core"
+	"rhmd/internal/features"
 	"rhmd/internal/obs"
 	"rhmd/internal/obs/span"
 	"rhmd/internal/prog"
@@ -49,8 +50,11 @@ type Config struct {
 	// TraceLen is the committed-instruction budget per monitored program
 	// (default 80_000).
 	TraceLen int
-	// WindowDeadline bounds one classification attempt; a stalled
-	// detector counts as a fault (default 25ms).
+	// WindowDeadline bounds one classification attempt (default 25ms).
+	// It is checked after the detector call returns: an attempt that took
+	// longer fails with ErrDeadline and counts as a fault, but the worker
+	// is held for the whole call. A detector that never returns is left
+	// to the fleet supervisor's Progress() watchdog.
 	WindowDeadline time.Duration
 	// MaxRetries is the number of re-attempts after a failed
 	// classification (default 2, i.e. three attempts total; negative
@@ -505,6 +509,9 @@ func (e *Engine) worker(ctx context.Context) {
 			}
 		}
 	}()
+	// The worker's window storage: every program it serves is extracted
+	// into it, so a warmed worker allocates no feature rows.
+	var ws features.WindowSet
 	for {
 		select {
 		case <-ctx.Done():
@@ -518,7 +525,7 @@ func (e *Engine) worker(ctx context.Context) {
 			tr := sub.tr
 			tr.EndSpan(sub.wait)
 			wk := tr.StartSpan(span.StageWorker, nil)
-			rep := e.process(ctx, sub.p, tr, wk)
+			rep := e.process(ctx, sub.p, &ws, tr, wk)
 			tr.EndSpan(wk)
 			// Commit (count + WAL-log) before the report becomes
 			// visible: a consumer-observed verdict is always durable.

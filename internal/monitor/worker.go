@@ -13,8 +13,10 @@ import (
 	"rhmd/internal/prog"
 )
 
-// ErrDeadline marks a classification attempt that outlived the window
-// deadline.
+// ErrDeadline marks a classification attempt that took longer than the
+// window deadline. The deadline is checked after the detector call
+// returns: the call runs to completion on the worker, and its late
+// result is discarded as a failure.
 var ErrDeadline = errors.New("monitor: window deadline exceeded")
 
 // workerCrash is the panic payload of FaultWorkerCrash. process's
@@ -37,8 +39,10 @@ func (wc workerCrash) String() string {
 // converted into a program-level error so one poisoned trace cannot
 // take a worker down. tr is the verdict's span trace (nil when verdict
 // tracing is off) and wk the enclosing worker span; process hangs
-// feature-extraction, draw, classify and vote spans off them.
-func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, wk *span.Span) (rep Report) {
+// feature-extraction, draw, classify and vote spans off them. ws is the
+// worker's window storage, overwritten for every program: nothing may
+// hold one of its rows past the verdict.
+func (e *Engine) process(ctx context.Context, p *prog.Program, ws *features.WindowSet, tr *span.Trace, wk *span.Span) (rep Report) {
 	started := time.Now()
 	// One generation load per program: the whole verdict — scheduling,
 	// classification, breaker reporting — runs against this pool even if
@@ -107,7 +111,7 @@ func (e *Engine) process(ctx context.Context, p *prog.Program, tr *span.Trace, w
 		}
 		return g.rhmd.Detectors[idx].Spec.Period
 	}
-	ws, err := features.ExtractScheduled(p, next, e.cfg.TraceLen)
+	err := features.ExtractScheduledInto(ws, p, next, e.cfg.TraceLen)
 	tr.EndSpan(feat)
 	if err != nil {
 		if feat != nil {
@@ -247,17 +251,17 @@ func (e *Engine) classify(ctx context.Context, g *poolGen, p *prog.Program, ws *
 				return 0, err
 			}
 		}
-		// The injector is consulted here, on the worker goroutine, so the
-		// shard-killing faults act on the worker itself; the detector-level
-		// faults ride into classifyOnce with the attempt.
+		// The injector is consulted before the call: the shard-killing
+		// faults act on the worker here, and the detector-level faults
+		// ride into classifyOnce with the attempt.
 		var fault Fault
 		if e.cfg.Injector != nil {
 			fault = e.cfg.Injector.Fault(fc)
 		}
 		switch fault.Kind {
 		case FaultWedge:
-			// Block the worker, not the scored call: the window deadline
-			// cannot rescue a wedge, only engine teardown can.
+			// Block the worker before any call, so no deadline check is
+			// ever reached: only engine teardown ends a wedge.
 			<-ctx.Done()
 			return 0, ctx.Err()
 		case FaultWorkerCrash:
@@ -317,62 +321,54 @@ func (e *Engine) exemplarID(tr *span.Trace) string {
 	return tr.ID()
 }
 
-// classifyOnce is a single deadline-bounded attempt. The detector call
-// runs in its own goroutine so a stalled or crashing model is contained:
-// panics are recovered into errors and a stall past the window deadline
-// is abandoned (the goroutine finishes harmlessly on its own). fault is
-// the attempt's injected detector fault, resolved by the caller
-// (FaultNone when no injector is configured).
-func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault Fault, score func([]float64) float64, threshold float64, vec []float64) (int, error) {
-	type outcome struct {
-		dec int
-		err error
-	}
-	ch := make(chan outcome, 1)
-	//rhmd:ignore goroutineleak deliberate abandonment: a detector stalled past the window deadline is left to finish on its own, and the buffered outcome channel lets it exit without a receiver
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.ins.panics.Inc()
-				e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Program: fc.ProgName, Detector: fc.Detector,
-					Window: fc.Window, Attempt: fc.Attempt, Detail: fmt.Sprint(r)})
-				ch <- outcome{err: fmt.Errorf("monitor: detector %d panicked: %v", fc.Detector, r)}
-			}
-		}()
-		v := vec
-		switch fault.Kind {
-		case FaultError:
-			ch <- outcome{err: ErrInjected}
-			return
-		case FaultPanic:
-			panic("injected detector fault")
-		case FaultLatency:
-			time.Sleep(fault.Latency)
-		case FaultCorrupt:
-			v = make([]float64, len(vec))
-			for i := range v {
-				v[i] = math.NaN()
-			}
+// classifyOnce is a single deadline-checked attempt, run on the worker
+// goroutine. A panicking detector is recovered into an error. A call
+// that returns after the window deadline fails with ErrDeadline, and one
+// that returns after the engine's context was cancelled fails with the
+// context's error; a call that never returns holds its worker until the
+// fleet supervisor's Progress() watchdog restarts the shard, as a
+// FaultWedge does. fault is the attempt's injected detector fault,
+// resolved by the caller (FaultNone when no injector is configured).
+func (e *Engine) classifyOnce(ctx context.Context, fc FaultContext, fault Fault, score func([]float64) float64, threshold float64, vec []float64) (dec int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.ins.panics.Inc()
+			e.tracer.Emit(obs.Event{Kind: obs.EvPanic, Program: fc.ProgName, Detector: fc.Detector,
+				Window: fc.Window, Attempt: fc.Attempt, Detail: fmt.Sprint(r)})
+			dec, err = 0, fmt.Errorf("monitor: detector %d panicked: %v", fc.Detector, r)
 		}
-		s := score(v)
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			ch <- outcome{err: fmt.Errorf("monitor: detector %d produced non-finite score", fc.Detector)}
-			return
-		}
-		dec := 0
-		if s >= threshold {
-			dec = 1
-		}
-		ch <- outcome{dec: dec}
 	}()
-	select {
-	case out := <-ch:
-		return out.dec, out.err
-	case <-time.After(e.cfg.WindowDeadline):
-		return 0, ErrDeadline
-	case <-ctx.Done():
-		return 0, ctx.Err()
+	start := time.Now()
+	v := vec
+	switch fault.Kind {
+	case FaultError:
+		return 0, ErrInjected
+	case FaultPanic:
+		panic("injected detector fault")
+	case FaultLatency:
+		if err := sleepCtx(ctx, fault.Latency); err != nil {
+			return 0, err
+		}
+	case FaultCorrupt:
+		v = make([]float64, len(vec))
+		for i := range v {
+			v[i] = math.NaN()
+		}
 	}
+	s := score(v)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if time.Since(start) > e.cfg.WindowDeadline {
+		return 0, ErrDeadline
+	}
+	if math.IsNaN(s) || math.IsInf(s, 0) {
+		return 0, fmt.Errorf("monitor: detector %d produced non-finite score", fc.Detector)
+	}
+	if s >= threshold {
+		return 1, nil
+	}
+	return 0, nil
 }
 
 // minPeriod returns the generation's smallest collection period.

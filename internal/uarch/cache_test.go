@@ -44,7 +44,8 @@ func (m *lruModel) reset() {
 
 func TestCacheMatchesTrueLRU(t *testing.T) {
 	geoms := [][3]int{
-		{32 << 10, 8, 64}, // the default L1
+		{32 << 10, 8, 64},  // the default L1
+		{256 << 10, 8, 64}, // the default L2
 		{1024, 2, 64},
 		{512, 1, 16}, // direct-mapped
 		{256, 4, 1},  // byte lines: every address bit is tag or set
@@ -78,6 +79,38 @@ func TestCacheMatchesTrueLRU(t *testing.T) {
 			if got, want := c.Access(a), m.access(a); got != want {
 				t.Fatalf("geometry %v access %d (%#x): hit=%v, true LRU says %v", g, i, a, got, want)
 			}
+		}
+	}
+}
+
+func TestCacheSharedSignatures(t *testing.T) {
+	// Tags that share one signature byte within a set make every valid
+	// way a candidate, so lookups meet false positives at every depth.
+	// Three times as many tags as ways keep misses and deep hits mixed.
+	const size, ways, lineSize = 32 << 10, 8, 64
+	c := MustCache(size, ways, lineSize)
+	m := newLRUModel(size, ways, lineSize)
+	shift := c.lineBits + c.setBits
+	set := uint64(5)
+	var tags []uint64
+	for tag := uint64(0); len(tags) < 3*ways; tag++ {
+		if signature(tag) == signature(0) {
+			tags = append(tags, tag)
+		}
+	}
+	r := rng.New(9)
+	for i := 0; i < 50000; i++ {
+		if r.Intn(2000) == 0 {
+			c.Reset()
+			m.reset()
+		}
+		tag := tags[r.Intn(len(tags))]
+		if r.Intn(4) == 0 {
+			tag = tags[r.Intn(ways)] // a hot subset that fits the set
+		}
+		a := tag<<shift | set<<c.lineBits | uint64(r.Intn(lineSize))
+		if got, want := c.Access(a), m.access(a); got != want {
+			t.Fatalf("access %d (tag %#x): hit=%v, true LRU says %v", i, tag, got, want)
 		}
 	}
 }

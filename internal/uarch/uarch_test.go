@@ -90,6 +90,7 @@ func TestCacheGeometryErrors(t *testing.T) {
 		{1024, 8, 63},       // non-power-of-two line
 		{192, 8, 64},        // not divisible into sets
 		{3 * 64 * 8, 8, 64}, // sets not power of two
+		{64 << 10, 16, 64},  // wider than a signature word
 	}
 	for _, c := range cases {
 		if _, err := NewCache(c[0], c[1], c[2]); err == nil {
