@@ -57,11 +57,14 @@ benchjson:
 	$(GO) run ./cmd/rhmd-benchrunner -scenario burst,hotkey,breaker-storm -out results
 
 # End-to-end smoke for verdict span tracing: boot rhmd-monitor with
-# -trace-verdicts, scrape /traces, and fail unless the kept set is
-# non-empty and the sampler's kept counter agrees. CI runs this in the
-# bench job so the tracing pipeline stays wired, not just unit-tested.
+# -trace-verdicts, scrape /traces and /metrics, and fail unless the kept
+# set is non-empty, the sampler's kept counter agrees, and shard 0's
+# verdict-latency series has observations — on one shard and on two.
+# CI runs this in the bench job so the tracing pipeline stays wired,
+# not just unit-tested.
 trace-smoke:
-	./scripts/trace_smoke.sh
+	./scripts/trace_smoke.sh -shards 1
+	./scripts/trace_smoke.sh -shards 2
 
 # Short fuzzing pass over the decoders of bytes from disk or flags. Plain
 # `go test` only replays the seed corpora; this target mutates inputs,

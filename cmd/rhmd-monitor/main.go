@@ -1,33 +1,33 @@
 // Command rhmd-monitor runs the online monitoring engine: it trains an
-// RHMD pool, streams a generated corpus through internal/monitor under
-// optionally injected faults, and prints a survival report — per-
-// detector health, quarantine/restore activity, and end-to-end window
-// accounting.
+// RHMD pool, streams a generated corpus through a fleet of
+// internal/monitor engines under optionally injected faults, and prints
+// a survival report — per-shard supervision, per-detector health,
+// quarantine/restore activity, and end-to-end window accounting.
 //
 // Usage:
 //
-//	rhmd-monitor                                    # healthy pool
+//	rhmd-monitor                                    # healthy pool, one shard
 //	rhmd-monitor -inject 1:error,4:panic,4:latency  # two faulty detectors
 //	rhmd-monitor -inject 4:panic -until 4:30        # detector 4 recovers
 //	rhmd-monitor -metrics-addr :9090 -snapshot-every 2s
 //	rhmd-monitor -trace-out events.json -json       # machine-readable
 //	rhmd-monitor -trace-verdicts -slow-ms 20 -exemplars -metrics-addr :9090
-//	rhmd-monitor -shards 3 -shard-checkpoint-dir /var/rhmd   # sharded fleet
+//	rhmd-monitor -shards 3 -checkpoint-dir /var/rhmd         # durable 3-shard fleet
 //	rhmd-monitor -shards 3 -chaos 0:crash-at-byte:4096       # kill-a-shard drill
 //
-// With -shards > 1 the monitor runs as a fleet: N independent engine
-// shards behind a consistent-hash router keyed on program name, each
-// with its own queue, workers, breakers and (with
-// -shard-checkpoint-dir) its own snapshot+WAL directory. A supervisor
-// restarts dead shards from their own checkpoints while siblings keep
-// serving; -chaos scripts deterministic shard deaths, and the fleet
-// health JSON is served on /fleet next to /metrics.
+// The monitor always serves through internal/fleet: -shards independent
+// engine shards (one by default) behind a consistent-hash router keyed
+// on program name, each with its own queue, workers, breakers and (with
+// -checkpoint-dir) its own snapshot+WAL directory, <dir>/shard-<i>/. A
+// supervisor restarts dead shards from their own checkpoints while
+// siblings keep serving; -chaos scripts deterministic shard deaths.
 //
 // With -metrics-addr set, the monitor serves live introspection while it
 // runs: Prometheus/OpenMetrics metrics on /metrics (format negotiated
-// from the Accept header), the structured event ring on /events, kept
-// per-verdict span traces on /traces (with -trace-verdicts), and
-// net/http/pprof on /debug/pprof/.
+// from the Accept header; every shard's engine series carry a shard
+// label), the fleet health JSON on /fleet, the structured event ring on
+// /events, kept per-verdict span traces on /traces (with
+// -trace-verdicts), and net/http/pprof on /debug/pprof/.
 //
 // -trace-verdicts records a span tree per submission (enqueue, queue
 // wait, worker pickup, feature extraction, switching draws, per-window
@@ -41,8 +41,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -56,6 +58,7 @@ import (
 	"rhmd/internal/dataset"
 	"rhmd/internal/driftguard"
 	"rhmd/internal/features"
+	"rhmd/internal/fleet"
 	"rhmd/internal/monitor"
 	"rhmd/internal/obs"
 	"rhmd/internal/obs/incident"
@@ -65,94 +68,160 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 42, "corpus/training/fault seed")
-	benign := flag.Int("benign", 10, "benign programs per family")
-	malware := flag.Int("malware", 16, "malware programs per family")
-	traceLen := flag.Int("len", 80_000, "trace length per program")
-	periods := flag.String("periods", "2000,1000", "comma-separated collection periods (pool = 3 features × periods)")
-	workers := flag.Int("workers", 4, "concurrent classification workers")
-	queue := flag.Int("queue", 0, "submission queue depth (0 = 2×workers); overflow is shed")
-	deadline := flag.Duration("deadline", 25*time.Millisecond, "per-window classification deadline")
-	probeAfter := flag.Int("probe-after", 64, "windows of quarantine before a half-open probe")
-	inject := flag.String("inject", "", "faults as det:mode pairs, e.g. 1:error,4:panic,4:latency (modes: error, panic, latency, corrupt)")
-	until := flag.String("until", "", "recovery points as det:N pairs, e.g. 4:30 (detector heals after N faulted windows)")
-	rate := flag.Float64("rate", 1.0, "total fault rate per faulty detector, split across its modes")
-	verbose := flag.Bool("v", false, "print one line per monitored program")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address while running (e.g. :9090)")
-	traceOut := flag.String("trace-out", "", "write the surviving trace events as JSON to this file after the run (- for stdout)")
-	traceCap := flag.Int("trace-cap", 4096, "event ring capacity for -trace-out and /traces")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "log a one-line stats snapshot to stderr at this interval (0 = off)")
-	jsonOut := flag.Bool("json", false, "print the survival report as JSON instead of text")
-	ckptDir := flag.String("checkpoint-dir", "", "durable checkpoint directory: verdicts are write-ahead-logged, snapshots taken periodically, and a previous run's state is restored on start")
-	ckptEvery := flag.Duration("checkpoint-every", 2*time.Second, "periodic snapshot interval (with -checkpoint-dir)")
-	shards := flag.Int("shards", 1, "shard the monitor into N independent failure domains behind a consistent-hash router (1 = the plain single engine)")
-	shardCkptDir := flag.String("shard-checkpoint-dir", "", "fleet durability root: shard i checkpoints under <dir>/shard-i and restarts restore from it (requires -shards > 1)")
-	chaosScript := flag.String("chaos", "", "deterministic kill-a-shard script, e.g. '0:crash-at-byte:4096,1:wedge:25,2:panic:10' (requires -shards > 1)")
-	wedgeTimeout := flag.Duration("wedge-timeout", 2*time.Second, "how long a shard may hold a backlog with zero window progress before the supervisor restarts it (with -shards > 1)")
-	traceVerdicts := flag.Bool("trace-verdicts", false, "record a per-verdict span tree and tail-sample kept traces onto /traces")
-	slowMs := flag.Int("slow-ms", 50, "verdicts slower than this are always kept by the tail sampler (with -trace-verdicts)")
-	keepEvery := flag.Int("keep-every", 128, "keep every N-th verdict trace as a healthy baseline; 1 keeps all, -1 disables the baseline (with -trace-verdicts)")
-	exemplars := flag.Bool("exemplars", false, "attach kept-trace IDs to latency histograms as OpenMetrics exemplars (with -trace-verdicts)")
-	hold := flag.Duration("hold", 0, "keep the observability endpoint up this long after the run drains (for scrapers and smoke tests)")
-	drift := flag.Bool("drift", false, "run the live drift guard: watch agreement/accuracy EWMAs on the verdict stream, retrain in the background when drift fires, hot-swap the pool with canary rollback")
-	driftWindow := flag.Int("drift-window", 48, "verdicts required before drift can fire (EWMA warm-up, with -drift)")
-	driftAgreement := flag.Float64("drift-agreement", 0.30, "inter-detector agreement floor (vote-margin EWMA) that fires drift (with -drift)")
-	driftAccuracy := flag.Float64("drift-accuracy", 0.65, "labeled-accuracy EWMA floor that fires drift (with -drift)")
-	driftAlpha := flag.Float64("drift-alpha", 0.05, "EWMA smoothing factor for the drift signals (with -drift)")
-	driftCanary := flag.Int("drift-canary", 32, "new-generation verdicts the post-swap canary collects before commit/rollback (with -drift)")
-	driftPoolDir := flag.String("drift-pool-dir", "", "archive every pool generation here as pool-<fingerprint>.json and resolve swap WAL entries from it on restore (with -drift)")
-	sloOn := flag.Bool("slo", false, "evaluate the standard SLO objectives (verdict latency, shed rate, durability, drift EWMAs, fleet serving) with multi-window burn-rate alerting on /slo")
-	sloConfig := flag.String("slo-config", "", "JSON objective declarations overriding the standard SLO set (implies -slo)")
-	burnFast := flag.Float64("burn-fast", slo.DefaultFastBurn, "fast-rule burn-rate threshold: page when both the 5m and 1h windows burn at least this multiple of the error budget")
-	burnSlow := flag.Float64("burn-slow", slo.DefaultSlowBurn, "slow-rule burn-rate threshold: ticket when both the 30m and 6h windows burn at least this multiple of the error budget")
-	incidentDir := flag.String("incident-dir", "", "capture fingerprinted incident bundles (registry diff, kept traces, drift/fleet status, runtime deltas) into this directory on SLO pages/tickets, shard deaths and drift rollbacks; served on /incidents")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit arguments and output streams;
+// it returns the process exit code (2 for a flag error).
+func run(args []string, stdout, stderr io.Writer) int {
+	err := serve(args, stdout, stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
+	}
+	fmt.Fprintln(stderr, err)
+	return 1
+}
+
+// usageError marks a flag-parsing failure, already reported by the
+// flag set.
+type usageError struct{ error }
+
+func serve(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("rhmd-monitor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 42, "corpus/training/fault seed")
+	benign := fs.Int("benign", 10, "benign programs per family")
+	malware := fs.Int("malware", 16, "malware programs per family")
+	traceLen := fs.Int("len", 80_000, "trace length per program")
+	periods := fs.String("periods", "2000,1000", "comma-separated collection periods (pool = 3 features × periods)")
+	workers := fs.Int("workers", 4, "concurrent classification workers per shard")
+	queue := fs.Int("queue", 0, "per-shard submission queue depth (0 = 2×workers); overflow is shed")
+	deadline := fs.Duration("deadline", 25*time.Millisecond, "per-window classification deadline")
+	probeAfter := fs.Int("probe-after", 64, "windows of quarantine before a half-open probe")
+	inject := fs.String("inject", "", "faults as det:mode pairs, e.g. 1:error,4:panic,4:latency (modes: error, panic, latency, corrupt)")
+	until := fs.String("until", "", "recovery points as det:N pairs, e.g. 4:30 (detector heals after N faulted windows)")
+	rate := fs.Float64("rate", 1.0, "total fault rate per faulty detector, split across its modes")
+	verbose := fs.Bool("v", false, "print one line per monitored program")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /fleet, /traces and /debug/pprof on this address while running (e.g. :9090)")
+	traceOut := fs.String("trace-out", "", "write the surviving trace events as JSON to this file after the run (- for stdout)")
+	traceCap := fs.Int("trace-cap", 4096, "event ring capacity for -trace-out and /traces")
+	snapshotEvery := fs.Duration("snapshot-every", 0, "log a one-line stats snapshot per shard to stderr at this interval (0 = off)")
+	jsonOut := fs.Bool("json", false, "print the survival report as JSON instead of text")
+	ckptDir := fs.String("checkpoint-dir", "", "fleet durability root: shard i write-ahead-logs its verdicts and snapshots under <dir>/shard-<i>/, and a previous run's state is restored on start")
+	ckptEvery := fs.Duration("checkpoint-every", 2*time.Second, "periodic snapshot interval (with -checkpoint-dir)")
+	shards := fs.Int("shards", 1, "independent engine shards (failure domains) behind the consistent-hash router")
+	chaosScript := fs.String("chaos", "", "deterministic kill-a-shard script, e.g. '0:crash-at-byte:4096,1:wedge:25,2:panic:10'")
+	wedgeTimeout := fs.Duration("wedge-timeout", 2*time.Second, "how long a shard may hold a backlog with zero window progress before the supervisor restarts it")
+	traceVerdicts := fs.Bool("trace-verdicts", false, "record a per-verdict span tree and tail-sample kept traces onto /traces")
+	slowMs := fs.Int("slow-ms", 50, "verdicts slower than this are always kept by the tail sampler (with -trace-verdicts); also the verdict-latency objective's threshold (with -slo)")
+	keepEvery := fs.Int("keep-every", 128, "keep every N-th verdict trace as a healthy baseline; 1 keeps all, -1 disables the baseline (with -trace-verdicts)")
+	exemplars := fs.Bool("exemplars", false, "attach kept-trace IDs to latency histograms as OpenMetrics exemplars (with -trace-verdicts)")
+	hold := fs.Duration("hold", 0, "keep the observability endpoint up this long after the run drains (for scrapers and smoke tests)")
+	drift := fs.Bool("drift", false, "run the live drift guard: watch agreement/accuracy EWMAs on the verdict stream, retrain in the background when drift fires, hot-swap the pool with canary rollback")
+	driftWindow := fs.Int("drift-window", 48, "verdicts required before drift can fire (EWMA warm-up, with -drift)")
+	driftAgreement := fs.Float64("drift-agreement", 0.30, "inter-detector agreement floor (vote-margin EWMA) that fires drift (with -drift)")
+	driftAccuracy := fs.Float64("drift-accuracy", 0.65, "labeled-accuracy EWMA floor that fires drift (with -drift)")
+	driftAlpha := fs.Float64("drift-alpha", 0.05, "EWMA smoothing factor for the drift signals (with -drift)")
+	driftCanary := fs.Int("drift-canary", 32, "new-generation verdicts the post-swap canary collects before commit/rollback (with -drift)")
+	driftPoolDir := fs.String("drift-pool-dir", "", "archive every pool generation here as pool-<fingerprint>.json and resolve swap WAL entries from it on restore (with -drift)")
+	sloOn := fs.Bool("slo", false, "evaluate the standard SLO objectives (verdict latency, shed rate, durability, drift EWMAs, fleet serving) with multi-window burn-rate alerting on /slo")
+	sloConfig := fs.String("slo-config", "", "JSON objective declarations overriding the standard SLO set (implies -slo)")
+	burnFast := fs.Float64("burn-fast", slo.DefaultFastBurn, "fast-rule burn-rate threshold: page when both the 5m and 1h windows burn at least this multiple of the error budget")
+	burnSlow := fs.Float64("burn-slow", slo.DefaultSlowBurn, "slow-rule burn-rate threshold: ticket when both the 30m and 6h windows burn at least this multiple of the error budget")
+	incidentDir := fs.String("incident-dir", "", "capture fingerprinted incident bundles (registry diff, kept traces, drift/fleet status, runtime deltas) into this directory on SLO pages/tickets, shard deaths and drift rollbacks; served on /incidents")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
 
 	// In -json mode stdout carries exactly one JSON document; everything
 	// informational moves to stderr.
-	info := os.Stdout
+	info := stdout
 	if *jsonOut {
-		info = os.Stderr
+		info = stderr
 	}
 
 	ps, err := parsePeriods(*periods)
-	check(err)
+	if err != nil {
+		return err
+	}
+	script, err := monitor.ParseShardScript(*chaosScript)
+	if err != nil {
+		return err
+	}
+	if script != nil {
+		for _, sf := range script.Faults {
+			if sf.Shard < 0 || sf.Shard >= max(*shards, 1) {
+				return fmt.Errorf("-chaos targets shard %d, but -shards is %d", sf.Shard, *shards)
+			}
+		}
+	}
+	if *driftPoolDir != "" && !*drift {
+		return fmt.Errorf("-drift-pool-dir needs -drift")
+	}
 
 	cfg := dataset.Config{BenignPerFamily: *benign, MalwarePerFamily: *malware, TraceLen: *traceLen, Seed: *seed}
 	corpus, err := dataset.Build(cfg)
-	check(err)
+	if err != nil {
+		return err
+	}
 	groups, err := corpus.Split([]float64{0.7, 0.3}, *seed+1)
-	check(err)
+	if err != nil {
+		return err
+	}
 	train, stream := groups[0], groups[1]
 
 	data := map[int]*dataset.MultiWindowData{}
 	for _, p := range ps {
 		mw, err := dataset.ExtractWindows(train, p, *traceLen)
-		check(err)
+		if err != nil {
+			return err
+		}
 		data[p] = mw
 	}
 	specs := core.PoolSpecs(features.AllKinds(), ps, "lr")
 	pool, err := core.TrainPool(specs, data, *seed+2)
-	check(err)
+	if err != nil {
+		return err
+	}
 	r, err := core.New(pool, *seed+3)
-	check(err)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(info, "deployed %s\n", r)
 
 	injector, err := parseInjector(*inject, *until, *rate, *deadline, *seed, len(pool))
-	check(err)
+	if err != nil {
+		return err
+	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" || *metricsAddr != "" || *ckptDir != "" {
 		tracer = obs.NewTracer(*traceCap)
 	}
-	// The engine's registry is built here (instead of engine-private) so
-	// the span recorder's kept/dropped counters land beside the engine's
-	// own instruments on the same /metrics scrape.
+	// The fleet registry: fleet, span-recorder, drift, SLO and incident
+	// instruments register here, and the fleet links every shard's
+	// engine registry into it under a shard label. Build provenance and
+	// process start/uptime land on the same scrape, so a dashboard can
+	// pin every latency shift to the exact binary that produced it.
 	reg := obs.NewRegistry()
-	// Build provenance and process start/uptime land on the same scrape
-	// as the engine instruments, so a dashboard can pin every latency
-	// shift to the exact binary that produced it.
 	obs.RegisterBuildInfo(reg)
+	tracer.Instrument(reg)
+	if *ckptDir != "" {
+		// Black-box recorder: a panic or a fatal error below flushes the
+		// trace ring next to the shard checkpoints first.
+		defer checkpoint.RecoverDump(*ckptDir, tracer)
+		defer func() {
+			if err != nil {
+				_, _ = checkpoint.DumpTrace(*ckptDir, tracer) // best effort on the way down
+			}
+		}()
+	}
 	var spans *span.Recorder
 	if *traceVerdicts {
 		spans, err = span.NewRecorder(span.Config{
@@ -161,147 +230,32 @@ func main() {
 			Slow:      time.Duration(*slowMs) * time.Millisecond,
 			KeepEvery: *keepEvery,
 		}, reg)
-		check(err)
+		if err != nil {
+			return err
+		}
 	}
-	// Live drift guard: the evade/retrain loop over whichever serving
-	// surface (engine or fleet) runs below. The archive is opened first
-	// so checkpoint restore can resolve pool-swap WAL entries, and the
-	// base pool is archived up front — every generation that ever
-	// serves must be re-materializable after a crash.
+	// The pool archive is opened first so checkpoint restore can resolve
+	// pool-swap WAL entries, and the base pool is archived up front —
+	// every generation that ever serves must be re-materializable after
+	// a crash.
 	var archive *driftguard.Archive
 	var resolvePool func(epoch, fingerprint uint64) (*core.RHMD, error)
 	if *driftPoolDir != "" {
-		if !*drift {
-			check(fmt.Errorf("-drift-pool-dir needs -drift"))
+		if archive, err = driftguard.OpenArchive(*driftPoolDir); err != nil {
+			return err
 		}
-		archive, err = driftguard.OpenArchive(*driftPoolDir)
-		check(err)
-		check(archive.Put(r))
+		if err := archive.Put(r); err != nil {
+			return err
+		}
 		resolvePool = archive.Resolve
 	}
-	driftCfg := driftguard.Config{
-		Retrain:        driftguard.NewGameRetrainer(r, *traceLen, *seed+4),
-		Archive:        archive,
-		AccuracyFloor:  *driftAccuracy,
-		AgreementFloor: *driftAgreement,
-		Alpha:          *driftAlpha,
-		MinSamples:     *driftWindow,
-		CanaryWindow:   *driftCanary,
-		Metrics:        reg,
-		Tracer:         tracer,
-		OnEvent: func(kind, detail string) {
-			fmt.Fprintf(os.Stderr, "drift-guard: %s: %s\n", kind, detail)
-		},
-	}
 
-	// Fleet mode: N independent engine shards behind a consistent-hash
-	// router, with shard supervision and per-shard durability. The
-	// single-engine path below stays exactly as it was for -shards 1.
-	script, err := monitor.ParseShardScript(*chaosScript)
-	check(err)
-	if *shards <= 1 {
-		if *shardCkptDir != "" {
-			check(fmt.Errorf("-shard-checkpoint-dir needs -shards > 1; the single engine checkpoints under -checkpoint-dir"))
-		}
-		if script != nil {
-			check(fmt.Errorf("-chaos needs -shards > 1 (shard fault scripts target fleet shards)"))
-		}
-	} else {
-		if *ckptDir != "" {
-			check(fmt.Errorf("-checkpoint-dir is the single-engine store; with -shards > 1 use -shard-checkpoint-dir (shard i stores under shard-<i>/)"))
-		}
-		if script != nil {
-			for _, sf := range script.Faults {
-				if sf.Shard < 0 || sf.Shard >= *shards {
-					check(fmt.Errorf("-chaos targets shard %d, but -shards is %d", sf.Shard, *shards))
-				}
-			}
-		}
-		check(runFleet(fleetOptions{
-			rhmd:    r,
-			stream:  stream,
-			shards:  *shards,
-			ckptDir: *shardCkptDir,
-			script:  script,
-			wedge:   *wedgeTimeout,
-			engine: monitor.Config{
-				Workers:         *workers,
-				QueueDepth:      *queue,
-				TraceLen:        *traceLen,
-				WindowDeadline:  *deadline,
-				ProbeAfter:      *probeAfter,
-				Injector:        injector,
-				Tracer:          tracer,
-				Spans:           spans,
-				Exemplars:       *exemplars,
-				CheckpointEvery: *ckptEvery,
-				ResolvePool:     resolvePool,
-			},
-			drift:         *drift,
-			driftCfg:      driftCfg,
-			sloOn:         *sloOn,
-			sloConfig:     *sloConfig,
-			burnFast:      *burnFast,
-			burnSlow:      *burnSlow,
-			incidentDir:   *incidentDir,
-			slowVerdict:   time.Duration(*slowMs) * time.Millisecond,
-			metrics:       reg,
-			tracer:        tracer,
-			spans:         spans,
-			metricsAddr:   *metricsAddr,
-			hold:          *hold,
-			snapshotEvery: *snapshotEvery,
-			verbose:       *verbose,
-			jsonOut:       *jsonOut,
-			traceOut:      *traceOut,
-			info:          info,
-		}))
-		return
-	}
-
-	var store *checkpoint.Store
-	if *ckptDir != "" {
-		store, err = checkpoint.Open(*ckptDir, checkpoint.Options{})
-		check(err)
-		defer store.Close()
-		// Black-box recorder: if anything below panics or fails fatally,
-		// the trace ring is flushed next to the checkpoints first.
-		defer checkpoint.RecoverDump(*ckptDir, tracer)
-		dir := *ckptDir
-		onFatal = func() { checkpoint.DumpTrace(dir, tracer) }
-	}
-	e, err := monitor.New(r, monitor.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		TraceLen:        *traceLen,
-		WindowDeadline:  *deadline,
-		ProbeAfter:      *probeAfter,
-		Injector:        injector,
-		Metrics:         reg,
-		Tracer:          tracer,
-		Spans:           spans,
-		Exemplars:       *exemplars,
-		Checkpoint:      store,
-		CheckpointEvery: *ckptEvery,
-		ResolvePool:     resolvePool,
-	})
-	check(err)
-
-	if store != nil {
-		restored, err := e.Restore()
-		check(err)
-		if restored != nil {
-			st := e.Stats()
-			fmt.Fprintf(info, "restored checkpoint gen %d (%d WAL entries replayed, %d corrupt generations skipped): %d programs, %d windows, pool epoch %d\n",
-				restored.Gen, restored.Replayed, restored.Fallbacks,
-				st.ProgramsProcessed+st.ProgramsFailed, st.Windows, st.PoolEpoch)
-		}
-	}
-
-	// SLO engine + incident flight recorder (both flag-gated). Built
-	// before the drift guard so its rollback hook can target the
-	// recorder; the guard is handed to the recorder through an atomic
-	// pointer because captures run on other goroutines.
+	// SLO engine + incident recorder first: the fleet config wants the
+	// shard-death hook and the drift config the rollback hook, so both
+	// reference the recorder before their owners exist. The fleet and
+	// guard flow back to the recorder through atomic pointers (captures
+	// run on supervisor/alert goroutines).
+	var flPtr atomic.Pointer[fleet.Fleet]
 	var guardPtr atomic.Pointer[driftguard.Guard]
 	sloW, err := buildSLO(sloParams{
 		enabled:     *sloOn,
@@ -309,10 +263,11 @@ func main() {
 		burnFast:    *burnFast,
 		burnSlow:    *burnSlow,
 		incidentDir: *incidentDir,
-		objectives:  slo.DefaultObjectives(time.Duration(*slowMs) * time.Millisecond),
+		latency:     time.Duration(*slowMs) * time.Millisecond,
 		reg:         reg,
 		tracer:      tracer,
 		spans:       spans,
+		stderr:      stderr,
 		drift: func() any {
 			g := guardPtr.Load()
 			if g == nil {
@@ -321,15 +276,62 @@ func main() {
 			st := g.Status()
 			return &st
 		},
-	})
-	check(err)
-	defer sloW.shutdown()
-	if sloW.rec != nil {
-		rec := sloW.rec
-		driftCfg.OnRollback = func(detail string) {
-			if _, err := rec.Trigger(incident.Cause{Kind: "drift-rollback", Detail: detail}); err != nil && err != incident.ErrSuppressed {
-				fmt.Fprintf(os.Stderr, "incident: %v\n", err)
+		fleet: func() any {
+			f := flPtr.Load()
+			if f == nil {
+				return nil
 			}
+			return f.Stats()
+		},
+	})
+	if err != nil {
+		return err
+	}
+	defer sloW.shutdown()
+
+	fcfg := fleet.Config{
+		Shards:        *shards,
+		CheckpointDir: *ckptDir,
+		Engine: monitor.Config{
+			Workers:         *workers,
+			QueueDepth:      *queue,
+			TraceLen:        *traceLen,
+			WindowDeadline:  *deadline,
+			ProbeAfter:      *probeAfter,
+			Injector:        injector,
+			Tracer:          tracer,
+			Spans:           spans,
+			Exemplars:       *exemplars,
+			CheckpointEvery: *ckptEvery,
+			ResolvePool:     resolvePool,
+		},
+		Script:       script,
+		WedgeTimeout: *wedgeTimeout,
+		Metrics:      reg,
+	}
+	var onRollback func(string)
+	if rec := sloW.rec; rec != nil {
+		trigger := func(kind, detail string) {
+			if _, err := rec.Trigger(incident.Cause{Kind: kind, Detail: detail}); err != nil && err != incident.ErrSuppressed {
+				fmt.Fprintf(stderr, "incident: %v\n", err)
+			}
+		}
+		fcfg.OnShardDeath = func(shard int, reason string) {
+			trigger("shard-death", fmt.Sprintf("shard %d: %s", shard, reason))
+		}
+		onRollback = func(detail string) { trigger("drift-rollback", detail) }
+	}
+	fl, err := fleet.New(r, fcfg)
+	if err != nil {
+		return err
+	}
+	flPtr.Store(fl)
+	st := fl.Stats()
+	fmt.Fprintf(info, "fleet: %d shards, durable=%v\n", st.Shards, *ckptDir != "")
+	for _, sh := range st.Health {
+		if sh.RestoredVerdicts > 0 || sh.Stats.PoolEpoch > 0 {
+			fmt.Fprintf(info, "restored checkpoint: shard %d, %d programs, %d windows, pool epoch %d\n",
+				sh.Shard, sh.RestoredVerdicts, sh.Stats.Windows, sh.Stats.PoolEpoch)
 		}
 	}
 	if sloW.eng != nil {
@@ -339,34 +341,63 @@ func main() {
 
 	var guard *driftguard.Guard
 	if *drift {
-		driftCfg.Swapper = e
-		guard, err = driftguard.New(e.Pool(), driftCfg)
-		check(err)
+		// The guard starts from the fleet's current target pool: durable
+		// shards may have restored a later generation than the base.
+		guard, err = driftguard.New(fl.Pool(), driftguard.Config{
+			Retrain:        driftguard.NewGameRetrainer(r, *traceLen, *seed+4),
+			Swapper:        fl,
+			Archive:        archive,
+			AccuracyFloor:  *driftAccuracy,
+			AgreementFloor: *driftAgreement,
+			Alpha:          *driftAlpha,
+			MinSamples:     *driftWindow,
+			CanaryWindow:   *driftCanary,
+			Metrics:        reg,
+			Tracer:         tracer,
+			OnEvent: func(kind, detail string) {
+				fmt.Fprintf(stderr, "drift-guard: %s: %s\n", kind, detail)
+			},
+			OnRollback: onRollback,
+		})
+		if err != nil {
+			return err
+		}
 		guardPtr.Store(guard)
 		fmt.Fprintf(info, "drift-guard: watching (accuracy floor %.2f, agreement floor %.2f, warm-up %d, canary %d)\n",
 			*driftAccuracy, *driftAgreement, *driftWindow, *driftCanary)
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops submissions and
-	// drains the queue (the engine flushes a final checkpoint generation
-	// after the drain); a second signal cancels the worker context and
+	// lets every shard drain (each flushes a final checkpoint
+	// generation); a second signal cancels the worker contexts and
 	// aborts in-flight programs.
-	workerCtx, hardStop := context.WithCancel(context.Background())
+	ctx, hardStop := context.WithCancel(context.Background())
 	defer hardStop()
 	stopping := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "shutdown: draining queue (signal again to abort in-flight work)")
+		select {
+		case <-sigCh:
+		case <-done:
+			return
+		}
+		fmt.Fprintln(stderr, "shutdown: draining shards (signal again to abort in-flight work)")
 		close(stopping)
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "shutdown: aborting")
+		select {
+		case <-sigCh:
+		case <-done:
+			return
+		}
+		fmt.Fprintln(stderr, "shutdown: aborting")
 		hardStop()
 	}()
 
 	if *metricsAddr != "" {
-		var mounts []obs.Mount
+		mounts := []obs.Mount{{Path: "/fleet", Handler: fl.HealthHandler()}}
 		if spans != nil {
 			mounts = append(mounts, obs.Mount{Path: "/traces", Handler: spans.Handler()})
 		}
@@ -374,12 +405,14 @@ func main() {
 			mounts = append(mounts, obs.Mount{Path: "/drift", Handler: guard.Handler()})
 		}
 		mounts = append(mounts, sloW.mounts...)
-		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, e.Registry(), tracer, mounts...)
-		check(err)
+		addr, shutdown, err := obs.ListenAndServe(*metricsAddr, fl.Registry(), tracer, mounts...)
+		if err != nil {
+			return err
+		}
 		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			shutdown(ctx)
+			shutdown(sctx)
 		}()
 		if *hold > 0 {
 			// Registered after the shutdown defer, so it runs first: the
@@ -387,18 +420,18 @@ func main() {
 			// it short), then the server shuts down.
 			holdFor := *hold
 			defer func() {
-				fmt.Fprintf(os.Stderr, "holding observability endpoint for %v\n", holdFor)
+				fmt.Fprintf(stderr, "holding observability endpoint for %v\n", holdFor)
 				select {
 				case <-time.After(holdFor):
 				case <-stopping:
 				}
 			}()
 		}
-		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /events, /traces, /debug/pprof)\n", addr)
+		fmt.Fprintf(info, "observability endpoint on http://%s (/metrics, /fleet, /events, /traces, /debug/pprof)\n", addr)
 	}
 
 	start := time.Now()
-	e.Start(workerCtx)
+	fl.Start(ctx)
 
 	if *snapshotEvery > 0 {
 		stop := make(chan struct{})
@@ -411,20 +444,24 @@ func main() {
 				case <-stop:
 					return
 				case <-tick.C:
-					st := e.Stats()
-					fmt.Fprintf(os.Stderr, "[%s] programs=%d windows=%d degraded=%d dropped=%d pool=%d/%d\n",
-						time.Since(start).Round(time.Millisecond), st.ProgramsProcessed, st.Windows,
-						st.Degraded, st.DroppedWindows, st.LivePool(), len(st.Detectors))
+					for _, sh := range fl.Stats().Health {
+						fmt.Fprintf(stderr, "[%s] shard %d %s gen=%d programs=%d windows=%d degraded=%d dropped=%d pool=%d/%d rerouted=%d restarts=%d\n",
+							time.Since(start).Round(time.Millisecond), sh.Shard, sh.State, sh.Gen,
+							sh.Stats.ProgramsProcessed, sh.Stats.Windows, sh.Stats.Degraded, sh.Stats.DroppedWindows,
+							sh.Stats.LivePool(), len(sh.Stats.Detectors), sh.Rerouted, sh.Restarts)
+					}
 				}
 			}
 		}()
 	}
+
 	go func() {
-		defer e.Close()
+		defer fl.Close()
 		for _, p := range stream {
-			for !e.Submit(p) {
-				// Backpressure: the monitor shed this submission; a real
-				// host would drop or defer, the demo politely retries.
+			for !fl.Submit(p) {
+				// Shed: the target shard's queue is full, or its whole key
+				// range is mid-restart; a real host would drop or defer, the
+				// demo politely retries.
 				select {
 				case <-stopping:
 					return
@@ -443,15 +480,16 @@ func main() {
 	}()
 
 	correct, total := 0, 0
-	for rep := range e.Results() {
+	for rep := range fl.Results() {
 		if guard != nil {
 			guard.Observe(rep)
 		}
 		if rep.Err != nil {
 			if *jsonOut {
-				printVerdictJSON(rep)
+				printVerdictJSON(stderr, rep)
 			} else {
-				fmt.Fprintf(info, "  %-18s ERROR: %v%s\n", rep.Program, rep.Err, traceSuffix(rep.TraceID))
+				fmt.Fprintf(info, "  [s%dg%d] %-18s ERROR: %v%s\n",
+					rep.Shard, rep.ShardGen, rep.Program, rep.Err, traceSuffix(rep.TraceID))
 			}
 			continue
 		}
@@ -463,14 +501,15 @@ func main() {
 			// One JSON verdict line per program on stderr (stdout stays a
 			// single report document). trace_id is always present: empty
 			// means the tail sampler dropped the trace or tracing is off.
-			printVerdictJSON(rep)
+			printVerdictJSON(stderr, rep)
 		} else if *verbose {
 			verdict := "benign "
 			if rep.Malware {
 				verdict = "MALWARE"
 			}
-			fmt.Fprintf(info, "  %-18s %s  %3d/%3d windows flagged, %d degraded, %d dropped%s\n",
-				rep.Program, verdict, rep.Flagged, rep.Windows, rep.Degraded, rep.Dropped, traceSuffix(rep.TraceID))
+			fmt.Fprintf(info, "  [s%dg%d] %-18s %s  %3d/%3d windows flagged, %d degraded, %d dropped%s\n",
+				rep.Shard, rep.ShardGen, rep.Program, verdict, rep.Flagged, rep.Windows,
+				rep.Degraded, rep.Dropped, traceSuffix(rep.TraceID))
 		}
 	}
 	elapsed := time.Since(start)
@@ -481,18 +520,21 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		check(writeTrace(*traceOut, tracer))
+		if err := writeTrace(*traceOut, stdout, tracer); err != nil {
+			return err
+		}
 	}
 
+	st = fl.Stats()
 	if *jsonOut {
 		report := struct {
 			Programs  int                `json:"programs"`
 			Correct   int                `json:"correct"`
 			Accuracy  float64            `json:"accuracy"`
 			ElapsedNs time.Duration      `json:"elapsed_ns"`
-			Stats     monitor.Stats      `json:"stats"`
+			Fleet     fleet.FleetStats   `json:"fleet"`
 			Drift     *driftguard.Status `json:"drift,omitempty"`
-		}{Programs: total, Correct: correct, ElapsedNs: elapsed, Stats: e.Stats()}
+		}{Programs: total, Correct: correct, ElapsedNs: elapsed, Fleet: st}
 		if total > 0 {
 			report.Accuracy = float64(correct) / float64(total)
 		}
@@ -500,26 +542,37 @@ func main() {
 			ds := guard.Status()
 			report.Drift = &ds
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		check(enc.Encode(report))
-		return
+		return enc.Encode(report)
 	}
 
-	fmt.Printf("\nsurvival report (%d programs in %v)\n", total, elapsed.Round(time.Millisecond))
-	fmt.Print(e.Stats())
+	fmt.Fprintf(stdout, "\nsurvival report (%d programs in %v, %d/%d shards serving, %d shed)\n",
+		total, elapsed.Round(time.Millisecond), st.Serving, st.Shards, st.Shed)
+	for _, sh := range st.Health {
+		line := fmt.Sprintf("shard %d: %s gen=%d restarts=%d delivered=%d rerouted=%d",
+			sh.Shard, sh.State, sh.Gen, sh.Restarts, sh.Delivered, sh.Rerouted)
+		if sh.RestoredVerdicts > 0 {
+			line += fmt.Sprintf(" restored=%d", sh.RestoredVerdicts)
+		}
+		if sh.LastRestart != "" {
+			line += fmt.Sprintf(" last-restart=%s", sh.LastRestart)
+		}
+		fmt.Fprintf(stdout, "%s pool-epoch=%d\n%s", line, sh.Stats.PoolEpoch, sh.Stats)
+	}
 	if guard != nil {
-		fmt.Println(guard.Status())
+		fmt.Fprintln(stdout, guard.Status())
 	}
 	if total > 0 {
-		fmt.Printf("verdict accuracy: %.1f%% (%d/%d)\n", 100*float64(correct)/float64(total), correct, total)
+		fmt.Fprintf(stdout, "verdict accuracy: %.1f%% (%d/%d)\n", 100*float64(correct)/float64(total), correct, total)
 	}
+	return nil
 }
 
 // printVerdictJSON emits one machine-readable verdict line to stderr.
 // trace_id is deliberately not omitempty: a consumer joining verdicts
 // to /traces can rely on the field existing on every line.
-func printVerdictJSON(rep monitor.Report) {
+func printVerdictJSON(w io.Writer, rep monitor.Report) {
 	line := struct {
 		Program  string `json:"program"`
 		Malware  bool   `json:"malware"`
@@ -538,10 +591,10 @@ func printVerdictJSON(rep monitor.Report) {
 	}
 	b, err := json.Marshal(line)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "encoding verdict line: %v\n", err)
+		fmt.Fprintf(w, "encoding verdict line: %v\n", err)
 		return
 	}
-	fmt.Fprintln(os.Stderr, string(b))
+	fmt.Fprintln(w, string(b))
 }
 
 // traceSuffix renders a kept trace ID for a text verdict line.
@@ -553,9 +606,9 @@ func traceSuffix(id string) string {
 }
 
 // writeTrace drains the event ring as JSON to path ("-" = stdout).
-func writeTrace(path string, tracer *obs.Tracer) error {
+func writeTrace(path string, stdout io.Writer, tracer *obs.Tracer) error {
 	if path == "-" {
-		return tracer.WriteJSON(os.Stdout)
+		return tracer.WriteJSON(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -648,18 +701,4 @@ func parseInjector(inject, until string, rate float64, deadline time.Duration, s
 		in.SetProfile(idx, p)
 	}
 	return in, nil
-}
-
-// onFatal, when set, flushes the black-box trace dump before a fatal
-// exit (deferred handlers don't run through os.Exit).
-var onFatal func()
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if onFatal != nil {
-			onFatal()
-		}
-		os.Exit(1)
-	}
 }

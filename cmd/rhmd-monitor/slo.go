@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -11,23 +12,20 @@ import (
 	"rhmd/internal/obs/span"
 )
 
-// sloParams is the SLO/incident wiring input shared by the
-// single-engine and fleet serving paths: which flags were set, which
-// telemetry sources exist, and the path's default objective set.
+// sloParams is the SLO/incident wiring input: which flags were set and
+// which telemetry sources exist.
 type sloParams struct {
-	enabled     bool    // -slo
-	configPath  string  // -slo-config (implies enabled)
-	burnFast    float64 // -burn-fast
-	burnSlow    float64 // -burn-slow
-	incidentDir string  // -incident-dir
-
-	// objectives is the path's default set (engine vs fleet), used when
-	// no -slo-config overrides it.
-	objectives []slo.Objective
+	enabled     bool          // -slo
+	configPath  string        // -slo-config (implies enabled)
+	burnFast    float64       // -burn-fast
+	burnSlow    float64       // -burn-slow
+	incidentDir string        // -incident-dir
+	latency     time.Duration // -slow-ms, the verdict-latency threshold of the default objectives
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	spans  *span.Recorder
+	stderr io.Writer // alert transitions are logged here
 	// drift/fleet supply the respective status documents at incident
 	// capture time; either may be nil (or return nil before the source
 	// exists — the closures are built before the guard/fleet are).
@@ -87,7 +85,7 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 	}
 
 	if wantSLO {
-		objs := p.objectives
+		objs := slo.DefaultObjectives(p.latency)
 		if p.configPath != "" {
 			data, err := os.ReadFile(p.configPath)
 			if err != nil {
@@ -110,7 +108,7 @@ func buildSLO(p sloParams) (*sloWiring, error) {
 			Tracer:     p.tracer,
 			Spans:      p.spans,
 			OnTransition: func(tr slo.Transition) {
-				fmt.Fprintf(os.Stderr, "slo: %s: %s → %s: %s\n",
+				fmt.Fprintf(p.stderr, "slo: %s: %s → %s: %s\n",
 					tr.Objective, tr.FromState, tr.ToState, tr.Reason)
 				if hook != nil {
 					hook(tr)

@@ -106,8 +106,8 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	Revision  string `json:"revision,omitempty"`
 
-	// Shards is 0 on the single-engine path, the shard count on the
-	// fleet path. Workers is per engine/shard.
+	// Shards is the fleet's shard count, at least 1. Workers is per
+	// shard.
 	Shards  int `json:"shards"`
 	Workers int `json:"workers"`
 	// Events is the submission count; Evasive the subset replaying

@@ -20,7 +20,6 @@ import (
 	"rhmd/internal/monitor"
 	"rhmd/internal/obs"
 	"rhmd/internal/obs/slo"
-	"rhmd/internal/prog"
 	"rhmd/internal/scenario"
 )
 
@@ -42,16 +41,6 @@ type Options struct {
 	// overhead. The SLO engine's own instruments go to a private
 	// registry so the report's before/after diff stays clean.
 	SLO bool
-}
-
-// runner is the execution surface the engine and the fleet share —
-// their method sets are deliberately identical, so one replay loop
-// drives both paths.
-type runner interface {
-	Start(ctx context.Context)
-	Submit(p *prog.Program) bool
-	Results() <-chan monitor.Report
-	Close()
 }
 
 // sharedPool trains the standard smoke-scale pool once per process:
@@ -94,8 +83,8 @@ func sharedPool() (*core.RHMD, error) {
 }
 
 // Run compiles the scenario and replays it: submit every event in
-// order (honouring inter-arrival delays) against a single engine or a
-// fleet per the spec, measure exact client-side verdict latencies,
+// order (honouring inter-arrival delays) against a fleet of the spec's
+// shard count (one by default), measure exact client-side verdict latencies,
 // snapshot the metrics registry before and after, and assemble the
 // BENCH report. The corpus is deterministic in the spec; wall-clock
 // numbers of course are not.
@@ -130,35 +119,19 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 	}
 
 	reg := obs.NewRegistry()
-	var run runner
-	var fl *fleet.Fleet
-	if norm.Engine.Shards > 1 {
-		fl, err = fleet.New(pool, fleet.Config{
-			Shards:  norm.Engine.Shards,
-			Engine:  tmpl,
-			Script:  c.Script,
-			Metrics: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		run = fl
-	} else {
-		tmpl.Metrics = reg
-		eng, err := monitor.New(pool, tmpl)
-		if err != nil {
-			return nil, err
-		}
-		run = eng
+	fl, err := fleet.New(pool, fleet.Config{
+		Shards:  norm.Engine.Shards,
+		Engine:  tmpl,
+		Script:  c.Script,
+		Metrics: reg,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var sloEng *slo.Engine
 	var sloStop, sloDone chan struct{}
 	if opts.SLO {
-		objs := slo.DefaultObjectives(0)
-		if norm.Engine.Shards > 1 {
-			objs = slo.FleetObjectives(0, norm.Engine.Shards, 0)
-		}
 		sloEng, err = slo.New(slo.Config{
 			Source:  reg,
 			Metrics: obs.NewRegistry(),
@@ -173,7 +146,7 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 				SlowShort: 500 * time.Millisecond,
 				SlowLong:  2 * time.Second,
 			},
-			Objectives: objs,
+			Objectives: slo.DefaultObjectives(0),
 		})
 		if err != nil {
 			return nil, err
@@ -192,7 +165,7 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 		Description: norm.Description,
 		Seed:        norm.Seed,
 		Fingerprint: fmt.Sprintf("%016x", c.Fingerprint()),
-		Shards:      norm.Engine.Shards,
+		Shards:      fl.Stats().Shards,
 		Workers:     tmpl.Workers,
 		Events:      len(c.Events),
 		Evasive:     c.EvasiveCount(),
@@ -224,17 +197,16 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 	submitted := make([]time.Time, len(c.Events))
 	received := make(map[string]time.Duration, len(c.Events))
 	start := time.Now()
-	run.Start(context.Background())
-	//rhmd:ignore goroutineleak bounded by the finite compiled corpus: the loop submits len(c.Events) programs, then Close()s the run, which ends the consumer below
+	fl.Start(context.Background())
 	go func() {
 		for i, e := range c.Events {
 			if e.Delay > 0 {
 				time.Sleep(e.Delay)
 			}
 			submitted[i] = time.Now()
-			run.Submit(e.Program)
+			fl.Submit(e.Program)
 		}
-		run.Close()
+		fl.Close()
 	}()
 	// Index events by name once; every name is unique by construction
 	// ("<stream>#<base>-<index>"), so a verdict attributes exactly.
@@ -242,7 +214,7 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 	for i, e := range c.Events {
 		byName[e.Program.Name] = i
 	}
-	for r := range run.Results() {
+	for r := range fl.Results() {
 		if i, ok := byName[r.Program]; ok {
 			received[r.Program] = time.Since(submitted[i])
 		}
@@ -282,16 +254,15 @@ func Run(spec scenario.Spec, opts Options) (*Report, error) {
 	}
 
 	rep.WallSeconds = wall.Seconds()
-	rep.Counters = gatherCounters(run, fl)
+	rep.Counters = gatherCounters(fl.Stats())
 	if rep.Counters.Processed > 0 {
 		rep.ThroughputPerSec = float64(rep.Counters.Processed) / wall.Seconds()
 		rep.AllocsPerOp = (msAfter.Mallocs - msBefore.Mallocs) / rep.Counters.Processed
 		rep.BytesPerOp = (msAfter.TotalAlloc - msBefore.TotalAlloc) / rep.Counters.Processed
 	}
 	rep.Latency.Exact = exactPercentiles(received)
-	// The engine path owns its registry, so the verdict-latency
-	// histogram is in the diff; fleet shards keep private per-generation
-	// registries and contribute no histogram here.
+	// The fleet registry links every shard's engine registry, so the
+	// diff merges the shards' verdict-latency histograms.
 	if hv := after.Diff(before).Histogram("rhmd_monitor_verdict_latency_seconds"); hv != nil && hv.Count > 0 {
 		rep.Latency.Histogram = &Percentiles{
 			P50ms:   1000 * hv.Quantile(0.50),
@@ -326,36 +297,14 @@ func buildID() (goversion, revision, modified string) {
 	return
 }
 
-// gatherCounters folds the run's terminal stats into the report shape:
-// engine Stats directly, or fleet-level counters plus per-shard sums.
-func gatherCounters(run runner, fl *fleet.Fleet) Counters {
-	if fl == nil {
-		s := run.(*monitor.Engine).Stats()
-		return Counters{
-			Processed:          s.ProgramsProcessed,
-			Shed:               s.ProgramsShed,
-			Failed:             s.ProgramsFailed,
-			Undurable:          s.ProgramsUndurable,
-			Windows:            s.Windows,
-			Flagged:            s.Flagged,
-			Degraded:           s.Degraded,
-			DroppedWindows:     s.DroppedWindows,
-			Retries:            s.Retries,
-			Timeouts:           s.Timeouts,
-			Panics:             s.Panics,
-			WorkerCrashes:      s.WorkerCrashes,
-			CheckpointFailures: s.CheckpointFailures,
-			Quarantines:        s.Quarantines,
-			Restores:           s.Restores,
-			PoolGeneration:     s.PoolEpoch,
-			PoolSwaps:          s.PoolSwaps,
-		}
-	}
-	fs := fl.Stats()
+// gatherCounters folds the fleet's terminal stats into the report
+// shape: fleet-level counters plus per-shard sums.
+func gatherCounters(fs fleet.FleetStats) Counters {
 	out := Counters{Shed: fs.Shed, PoolGeneration: fs.PoolEpoch}
 	for _, h := range fs.Health {
 		s := h.Stats
 		out.Processed += s.ProgramsProcessed
+		out.Shed += s.ProgramsShed
 		out.Failed += s.ProgramsFailed
 		out.Undurable += s.ProgramsUndurable
 		out.Windows += s.Windows

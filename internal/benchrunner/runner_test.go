@@ -8,8 +8,8 @@ import (
 	"rhmd/internal/scenario"
 )
 
-// tinySpec is a fast single-engine scenario for tests: small corpus,
-// few events, no pacing.
+// tinySpec is a fast one-shard scenario for tests: small corpus, few
+// events, no pacing.
 func tinySpec(seed uint64) scenario.Spec {
 	return scenario.Spec{
 		Name:   "tiny",
@@ -28,59 +28,57 @@ func runTiny(t *testing.T) *Report {
 	return rep
 }
 
-func TestRunEngineReport(t *testing.T) {
-	rep := runTiny(t)
-	if rep.Schema != SchemaVersion {
-		t.Fatalf("schema %q", rep.Schema)
-	}
-	if rep.Scenario != "tiny" || rep.Events != 12 {
-		t.Fatalf("identity: %+v", rep)
-	}
-	if rep.Counters.Processed != 12 || rep.Counters.Shed != 0 {
-		t.Fatalf("counters: %+v", rep.Counters)
-	}
-	if rep.ThroughputPerSec <= 0 || rep.WallSeconds <= 0 {
-		t.Fatalf("throughput %v over %vs", rep.ThroughputPerSec, rep.WallSeconds)
-	}
-	if rep.AllocsPerOp == 0 || rep.BytesPerOp == 0 {
-		t.Fatalf("alloc accounting empty: %+v", rep)
-	}
-	if rep.Fingerprint == "" || rep.GoVersion == "" {
-		t.Fatalf("provenance missing: %+v", rep)
-	}
-	// Exact percentiles cover every verdict; histogram percentiles come
-	// from the engine's verdict-latency buckets and must be in the same
-	// ballpark (the histogram estimate is upper-bounded by bucket width).
-	ex, hist := rep.Latency.Exact, rep.Latency.Histogram
-	if ex == nil || ex.Samples != 12 || ex.P50ms <= 0 || ex.P95ms < ex.P50ms {
-		t.Fatalf("exact latency: %+v", ex)
-	}
-	if hist == nil || hist.Samples != 12 || hist.P50ms <= 0 {
-		t.Fatalf("histogram latency: %+v", hist)
-	}
-}
-
+// TestRunFleetReport checks the whole report on the default one-shard
+// fleet and on two shards: identity, counters, throughput, allocation
+// accounting, provenance, and both latency blocks. The fleet registry
+// links every shard's engine registry, so the histogram block covers
+// every verdict on either shape.
 func TestRunFleetReport(t *testing.T) {
-	spec := tinySpec(7)
-	spec.Name = "tiny-fleet"
-	spec.Engine.Shards = 2
-	spec.Engine.Workers = 2
-	rep, err := Run(spec, Options{OutDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards != 2 {
-		t.Fatalf("shards %d", rep.Shards)
-	}
-	if rep.Counters.Processed != 12 {
-		t.Fatalf("processed %d, want 12", rep.Counters.Processed)
-	}
-	if rep.Latency.Exact == nil || rep.Latency.Exact.Samples != 12 {
-		t.Fatalf("exact latency: %+v", rep.Latency.Exact)
-	}
-	// Shard registries are private per generation: no histogram block.
-	if rep.Latency.Histogram != nil {
-		t.Fatalf("unexpected histogram block on fleet path: %+v", rep.Latency.Histogram)
+	for _, c := range []struct {
+		name                  string
+		shards, want, workers int
+	}{
+		{name: "default-one-shard", shards: 0, want: 1, workers: 4},
+		{name: "two-shards", shards: 2, want: 2, workers: 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := tinySpec(7)
+			spec.Engine.Shards = c.shards
+			spec.Engine.Workers = c.workers
+			rep, err := Run(spec, Options{OutDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Schema != SchemaVersion {
+				t.Fatalf("schema %q", rep.Schema)
+			}
+			if rep.Scenario != "tiny" || rep.Events != 12 || rep.Shards != c.want {
+				t.Fatalf("identity: %+v", rep)
+			}
+			if rep.Counters.Processed != 12 || rep.Counters.Shed != 0 {
+				t.Fatalf("counters: %+v", rep.Counters)
+			}
+			if rep.ThroughputPerSec <= 0 || rep.WallSeconds <= 0 {
+				t.Fatalf("throughput %v over %vs", rep.ThroughputPerSec, rep.WallSeconds)
+			}
+			if rep.AllocsPerOp == 0 || rep.BytesPerOp == 0 {
+				t.Fatalf("alloc accounting empty: %+v", rep)
+			}
+			if rep.Fingerprint == "" || rep.GoVersion == "" {
+				t.Fatalf("provenance missing: %+v", rep)
+			}
+			// Exact percentiles cover every verdict; histogram percentiles
+			// come from the shards' verdict-latency buckets and must be in
+			// the same ballpark (the estimate is upper-bounded by bucket
+			// width).
+			ex, hist := rep.Latency.Exact, rep.Latency.Histogram
+			if ex == nil || ex.Samples != 12 || ex.P50ms <= 0 || ex.P95ms < ex.P50ms {
+				t.Fatalf("exact latency: %+v", ex)
+			}
+			if hist == nil || hist.Samples != 12 || hist.P50ms <= 0 {
+				t.Fatalf("histogram latency: %+v", hist)
+			}
+		})
 	}
 }
 
@@ -178,7 +176,7 @@ func TestCompareRegressionGate(t *testing.T) {
 	}
 }
 
-// Shedding must be visible in the report: a one-worker engine with a
+// Shedding must be visible in the report: a one-worker shard with a
 // tiny queue and a burst shape drops submissions, and processed + shed
 // accounts for every event.
 func TestRunShedAccounting(t *testing.T) {

@@ -30,6 +30,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -111,6 +112,24 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// Holds reports whether dir already holds checkpoint state: a snapshot
+// or a WAL of any generation. A missing dir holds none.
+func Holds(dir string) (bool, error) {
+	s := &Store{dir: dir, fs: OSFS{}}
+	snaps, err := s.snapshotGens()
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	wals, err := s.walGens()
+	if err != nil {
+		return false, err
+	}
+	return len(snaps)+len(wals) > 0, nil
 }
 
 // Instrument registers the store's metrics in reg and attaches the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,22 +17,23 @@ import (
 )
 
 // Config tunes a fleet. The zero value of every field selects a
-// sensible default; Shards 0 or 1 is the single-failure-domain special
-// case (one shard, the pre-fleet behavior behind the same facade).
+// sensible default; Shards 0 or 1 is one failure domain, one engine
+// behind the same router and supervisor.
 type Config struct {
 	// Shards is the number of independent engine shards (default 1).
 	Shards int
 	// CheckpointDir, when set, makes every shard durable: shard i
-	// snapshots and WALs under <CheckpointDir>/shard-i, and a restarted
-	// shard recovers from its own directory only. Durable shards run
-	// the engine in StrictDurability mode, so every verdict the fleet
-	// delivers is recoverable — the zero-acked-loss invariant the chaos
-	// harness proves. Empty means volatile shards.
+	// snapshots and WALs under <CheckpointDir>/shard-<i>, and a
+	// restarted shard recovers from its own directory only. A durable
+	// engine withholds any verdict it could not log, so every verdict
+	// the fleet delivers is recoverable — the zero-acked-loss invariant
+	// the chaos harness proves. A CheckpointDir that is itself a
+	// checkpoint directory is refused. Empty means volatile shards.
 	CheckpointDir string
 	// Engine is the per-shard engine template. Metrics and Checkpoint
-	// must be left unset (each shard generation gets a private registry
-	// and its own store); Tracer and Spans are shared across shards as
-	// given.
+	// must be left unset (each shard generation gets its own registry,
+	// linked into Metrics, and its own store); Tracer and Spans are
+	// shared across shards as given.
 	Engine monitor.Config
 	// Script, when non-nil, is the deterministic kill-a-shard chaos
 	// scenario applied to generation 0 of each targeted shard (see
@@ -53,9 +55,10 @@ type Config struct {
 	// (default 64).
 	Vnodes int
 	// Metrics is the fleet-level registry (shard states, restarts,
-	// reroutes, sheds). Nil selects a fresh private registry. Per-shard
-	// engine metrics live in per-generation private registries; the
-	// fleet health endpoint aggregates them as JSON.
+	// reroutes, sheds). Nil selects a fresh private registry. Each
+	// shard's current engine generation registers in a registry of its
+	// own, linked into Metrics under a shard label (see
+	// obs.Registry.Link) and relinked when the shard restarts.
 	Metrics *obs.Registry
 	// OnShardDeath, when non-nil, is called from the restart goroutine
 	// as a shard leaves serving (before the rebuild begins) — the
@@ -131,6 +134,16 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: Engine.Checkpoint must be unset (use CheckpointDir for per-shard stores)")
 	}
 	cfg.fill()
+	if cfg.CheckpointDir != "" {
+		held, err := checkpoint.Holds(cfg.CheckpointDir)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		if held {
+			return nil, fmt.Errorf("fleet: %s holds a checkpoint at its root, but a fleet keeps shard i's state under <dir>/shard-<i>/; move it into %s/ to keep it",
+				cfg.CheckpointDir, filepath.Join(cfg.CheckpointDir, "shard-0"))
+		}
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -167,6 +180,9 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 		f.shards = append(f.shards, sh)
 		f.ins.state[i].Set(float64(Serving))
 	}
+	for i, sh := range f.shards {
+		reg.Link("shard", strconv.Itoa(i), sh.eng.Load().Registry())
+	}
 	f.ins.serving.Set(float64(cfg.Shards))
 	// Fleet-level SLI aggregate: the serving fraction as a gauge func,
 	// so an SLO objective (and any scrape) reads one normalized number
@@ -179,13 +195,13 @@ func New(r *core.RHMD, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// newGeneration builds one engine life for a shard: a private metrics
-// registry, the shard's own checkpoint store (with the chaos
-// filesystem when scripted), the scripted fault injector, strict
-// durability whenever the shard is durable, and a crash callback wired
-// to the supervisor. Durable generations restore the shard's
-// snapshot+WAL before returning, recording the recovered verdict count
-// as the shard's zero-acked-loss baseline.
+// newGeneration builds one engine life for a shard: a metrics registry
+// of its own (the caller links it into the fleet registry when the
+// generation goes live), the shard's own checkpoint store (with the
+// chaos filesystem when scripted), the scripted fault injector, and a
+// crash callback wired to the supervisor. Durable generations restore
+// the shard's snapshot+WAL before returning, recording the recovered
+// verdict count as the shard's zero-acked-loss baseline.
 func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoint.Store, *chaosInjector, error) {
 	cfg := f.cfg.Engine
 	cfg.Metrics = obs.NewRegistry()
@@ -201,7 +217,6 @@ func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoi
 		}
 		store = st
 		cfg.Checkpoint = store
-		cfg.StrictDurability = true
 	}
 	idx := sh.idx
 	cfg.OnWorkerCrash = func(error) {
@@ -229,8 +244,9 @@ func (f *Fleet) newGeneration(sh *shard, gen uint64) (*monitor.Engine, *checkpoi
 	return eng, store, chaos, nil
 }
 
-// Registry returns the fleet-level observability registry — mount it
-// on an obs.NewMux to expose fleet /metrics.
+// Registry returns the fleet-level observability registry, with every
+// shard's current engine registry linked in under a shard label —
+// mount it on an obs.NewMux to expose fleet /metrics.
 func (f *Fleet) Registry() *obs.Registry { return f.reg }
 
 // Home returns the key's home shard on the routing ring, ignoring
@@ -525,6 +541,7 @@ func (f *Fleet) restart(sh *shard, reason string) {
 		sh.store = store2
 		sh.eng.Store(eng2)
 		sh.gen.Store(newGen)
+		f.reg.Link("shard", strconv.Itoa(sh.idx), eng2.Registry())
 		sh.pumpDone = make(chan struct{})
 		eng2.Start(cctx)
 		f.pumpWG.Add(1)

@@ -64,6 +64,11 @@ func (f *Fleet) SwapPool(r *core.RHMD) (uint64, error) {
 // serving shard converges to).
 func (f *Fleet) PoolEpoch() uint64 { return f.poolEpoch.Load() }
 
+// Pool returns the fleet-level target pool: the construction pool, a
+// later generation that durable shards restored, or the last SwapPool
+// target — the pool a drift guard starts from.
+func (f *Fleet) Pool() *core.RHMD { return f.pool.Load() }
+
 // catchUp drives one shard engine forward to the fleet target epoch,
 // re-applying the current pool once per missed epoch (intermediate pool
 // bytes are not replayed — only the final generation matters, and each

@@ -363,11 +363,9 @@ func (e *Engine) applyEntry(entry checkpoint.Entry) error {
 
 // commitVerdict applies a finished program's accounting and durably
 // logs it, as one unit relative to snapshot capture. The WAL append
-// runs first: under StrictDurability a verdict whose append failed is
-// withheld (counted undurable, never delivered), so everything a
-// consumer acks is provably recoverable; without it the engine keeps
-// the pre-fleet behavior of delivering with a logged durability gap.
-// Every window of the program lands in a bucket whether or not the
+// runs first: a verdict whose append failed is withheld (counted
+// undurable, never delivered), so everything a consumer acks is
+// provably recoverable. Every window of the program lands in a bucket whether or not the
 // program failed mid-trace; the program itself lands in processed,
 // failed, or undurable. tr/ws are the verdict's trace and its open
 // wal-fsync span (nil when untraced): a failed WAL append marks both,
@@ -397,13 +395,11 @@ func (e *Engine) commitVerdict(rep Report, tr *span.Trace, ws *span.Span) (durab
 			}
 			e.tracer.Emit(obs.Event{Kind: obs.EvCheckpointSave, Program: rep.Program, Detector: -1, Window: -1,
 				Detail: fmt.Sprintf("WAL append failed: %v", err)})
-			if e.cfg.StrictDurability {
-				// Withheld: the counters below would be resurrected by a
-				// restore the WAL knows nothing about, so the verdict is
-				// accounted only as undurable.
-				e.ins.undurable.Inc()
-				return false
-			}
+			// Withheld: the counters below would be resurrected by a
+			// restore the WAL knows nothing about, so the verdict is
+			// accounted only as undurable.
+			e.ins.undurable.Inc()
+			return false
 		}
 	}
 	e.ins.windows.Add(uint64(rep.Windows))

@@ -229,3 +229,53 @@ func TestCorruptNewestGenerationFallsBack(t *testing.T) {
 		t.Fatalf("corruption fallback not visible in /metrics:\n%s", buf.String())
 	}
 }
+
+// TestFailedVerdictAppendIsWithheld: a durable engine withholds a
+// verdict whose WAL append failed. The checkpoint disk dies exactly at
+// the first write after start-up, the verdict's append: no report is
+// delivered, and the program counts undurable, never processed.
+func TestFailedVerdictAppendIsWithheld(t *testing.T) {
+	f := getFixture(t)
+	r, err := core.New(f.pool, 0xD00D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(fsys checkpoint.FS) *Engine {
+		store, err := checkpoint.Open(t.TempDir(), checkpoint.Options{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		e, err := New(r, Config{Workers: 1, TraceLen: f.traceLen, WindowDeadline: 2 * time.Second,
+			Checkpoint: store, CheckpointEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start(context.Background())
+		return e
+	}
+
+	// Learn what opening and starting a durable engine costs, so the
+	// budget runs out at the next write.
+	probe := checkpoint.NewFailingFS(checkpoint.OSFS{}, 1<<30)
+	pe := start(probe)
+	fsys := checkpoint.NewFailingFS(checkpoint.OSFS{}, probe.Spent())
+	runStream(t, pe, nil)
+
+	e := start(fsys)
+	reports := runStream(t, e, f.programs[:1])
+	if len(reports) != 0 {
+		t.Fatalf("delivered %d reports after the verdict append failed, want 0", len(reports))
+	}
+	if !fsys.Crashed() {
+		t.Fatal("the run never reached the injected crash point")
+	}
+	st := e.Stats()
+	if st.ProgramsUndurable != 1 || st.ProgramsProcessed != 0 || st.ProgramsFailed != 0 {
+		t.Fatalf("undurable=%d processed=%d failed=%d, want 1/0/0",
+			st.ProgramsUndurable, st.ProgramsProcessed, st.ProgramsFailed)
+	}
+	if st.CheckpointFailures == 0 {
+		t.Fatal("the failed append was not counted as a checkpoint failure")
+	}
+}

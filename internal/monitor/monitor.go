@@ -89,7 +89,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Tracer, when non-nil, receives structured lifecycle events
 	// (submit → extract → window → verdict, plus fault and breaker
-	// events). Nil disables tracing at zero cost.
+	// events). Nil disables tracing at zero cost. The engine does not
+	// register the ring's drop counter: whoever creates the tracer
+	// calls Tracer.Instrument once, since one tracer can outlive many
+	// engines.
 	Tracer *obs.Tracer
 	// Spans, when non-nil, records a per-verdict span tree for every
 	// submission — enqueue, queue wait, worker pickup, feature
@@ -107,20 +110,15 @@ type Config struct {
 	// Checkpoint, when non-nil, makes the engine durable: verdicts and
 	// breaker transitions are write-ahead-logged as they happen,
 	// snapshots are flushed every CheckpointEvery and once more on
-	// drain, and a crashed engine resumes via Restore. One engine per
-	// store.
+	// drain, and a crashed engine resumes via Restore. A verdict whose
+	// WAL append failed is withheld: counted
+	// (rhmd_monitor_programs_total{outcome="undurable"}) but never
+	// delivered, so everything a consumer acks is recoverable. One
+	// engine per store.
 	Checkpoint *checkpoint.Store
 	// CheckpointEvery is the periodic snapshot interval (default 2s;
 	// ignored without a Checkpoint store).
 	CheckpointEvery time.Duration
-	// StrictDurability withholds any verdict whose WAL append failed:
-	// the report is counted (rhmd_monitor_programs_total{outcome=
-	// "undurable"}) but never delivered, so everything a consumer acks
-	// is recoverable. Fleet shards run strict so a restarted shard can
-	// prove zero acked-verdict loss; the default (false) keeps the
-	// single-engine behavior of delivering with a logged durability
-	// gap.
-	StrictDurability bool
 	// OnWorkerCrash, when non-nil, is called each time a worker
 	// goroutine dies to a panic that escaped per-program recovery (for
 	// example FaultWorkerCrash). The engine absorbs the crash — the
@@ -210,7 +208,7 @@ type Report struct {
 	TraceID string
 	// Shard and ShardGen identify which fleet shard (and which life of
 	// it — generations count restarts) produced this verdict. Both are
-	// zero for a bare single engine; internal/fleet stamps them as it
+	// zero for a bare engine; internal/fleet stamps them as it
 	// merges shard result streams.
 	Shard    int
 	ShardGen uint64
@@ -304,9 +302,6 @@ func New(r *core.RHMD, cfg Config) (*Engine, error) {
 		ckpt:    cfg.Checkpoint,
 		done:    make(chan struct{}),
 	}
-	// Surface the event ring's overwrite drops as a scrapeable counter
-	// alongside the engine's own instruments (nil-safe no-op).
-	e.tracer.Instrument(reg)
 	g := &poolGen{
 		rhmd:   r,
 		health: newHealthBoard(r, cfg.FailureThreshold, uint64(cfg.ProbeAfter)),

@@ -276,6 +276,7 @@ func (f *family) delete(values []string) bool {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	links    []link // registries exposed through this one (see Link)
 }
 
 // NewRegistry returns an empty registry.

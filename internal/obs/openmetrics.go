@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,20 +29,13 @@ const ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; cha
 // ContentTypePrometheus is the default 0.0.4 text content type.
 const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 
-// WriteOpenMetrics renders every registered family in OpenMetrics
-// text format, histogram exemplars included, ending with `# EOF`.
+// WriteOpenMetrics renders every registered family, and every family
+// of a linked registry, in OpenMetrics text format, histogram exemplars
+// included, ending with `# EOF`.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		if err := f.writeOpenMetrics(bw); err != nil {
+	for _, v := range r.gather() {
+		if err := v.writeOpenMetrics(bw); err != nil {
 			return err
 		}
 	}
@@ -53,22 +45,8 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	return bw.Flush()
 }
 
-func (f *family) writeOpenMetrics(w io.Writer) error {
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.children))
-	for k := range f.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type row struct {
-		key string
-		m   any
-	}
-	rows := make([]row, len(keys))
-	for i, k := range keys {
-		rows[i] = row{k, f.children[k]}
-	}
-	f.mu.Unlock()
+func (v *view) writeOpenMetrics(w io.Writer) error {
+	rows := v.rows()
 	if len(rows) == 0 {
 		return nil
 	}
@@ -77,21 +55,21 @@ func (f *family) writeOpenMetrics(w io.Writer) error {
 	// the sample line carries it. Families registered without the
 	// suffix gain it on the sample, which keeps the exposition legal
 	// either way.
-	famName, sampleName := f.name, f.name
-	if f.kind == counterKind {
-		famName = strings.TrimSuffix(f.name, "_total")
+	famName, sampleName := v.name, v.name
+	if v.kind == counterKind {
+		famName = strings.TrimSuffix(v.name, "_total")
 		sampleName = famName + "_total"
 	}
-	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", famName, escapeHelp(f.help)); err != nil {
+	if v.help != "" {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", famName, escapeHelp(v.help)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", famName, f.kind); err != nil {
+	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", famName, v.kind); err != nil {
 		return err
 	}
 	for _, rw := range rows {
-		labels := f.renderLabels(rw.key, "", "")
+		labels := v.renderLabels(rw.values, "", "")
 		switch m := rw.m.(type) {
 		case *Counter:
 			if _, err := fmt.Fprintf(w, "%s%s %d\n", sampleName, labels, m.Value()); err != nil {
@@ -109,12 +87,12 @@ func (f *family) writeOpenMetrics(w io.Writer) error {
 			upper, cum := m.Buckets()
 			ex := m.BucketExemplars()
 			for i, ub := range upper {
-				le := f.renderLabels(rw.key, "le", formatFloat(ub))
+				le := v.renderLabels(rw.values, "le", formatFloat(ub))
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", famName, le, cum[i], exemplarSuffix(ex[i])); err != nil {
 					return err
 				}
 			}
-			inf := f.renderLabels(rw.key, "le", "+Inf")
+			inf := v.renderLabels(rw.values, "le", "+Inf")
 			count := m.Count()
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", famName, inf, count, exemplarSuffix(ex[len(ex)-1])); err != nil {
 				return err

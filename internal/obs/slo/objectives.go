@@ -22,7 +22,9 @@ func CounterSeries(name string) func(obs.Snapshot) float64 {
 	return func(s obs.Snapshot) float64 { return float64(s.Counter(name)) }
 }
 
-// CounterWithSeries reads one labeled child of a counter family.
+// CounterWithSeries reads one labeled child of a counter family,
+// summed over any link label such as a fleet's shard (see
+// obs.Snapshot.CounterWith).
 func CounterWithSeries(name string, values ...string) func(obs.Snapshot) float64 {
 	return func(s obs.Snapshot) float64 { return float64(s.CounterWith(name, values...)) }
 }
@@ -74,43 +76,16 @@ func HistogramAboveSeries(name string, threshold float64) func(obs.Snapshot) flo
 	}
 }
 
-// GaugeSeries reads one gauge child (scalar when no values given),
-// returning NaN when the family or child is absent — the bound-SLI
-// "no data" marker.
+// GaugeSeries reads a gauge: the child with the given leading label
+// values (the scalar when none are given), summed over any link label
+// such as a fleet's shard. It returns NaN when no gauge child matches —
+// the bound-SLI "no data" marker.
 func GaugeSeries(name string, values ...string) func(obs.Snapshot) float64 {
 	return func(s obs.Snapshot) float64 {
-		fam, ok := s[name]
-		if !ok {
-			return math.NaN()
+		if v, ok := s.GaugeWith(name, values...); ok {
+			return v
 		}
-		key := ""
-		for i, v := range values {
-			if i > 0 {
-				key += "\x00"
-			}
-			key += v
-		}
-		mv, ok := fam.Children[key]
-		if !ok || mv.Kind != "gauge" {
-			return math.NaN()
-		}
-		return mv.Gauge
-	}
-}
-
-// GaugeSumSeries reads a gauge family summed over all children (NaN
-// when the family is absent or empty) — e.g. rhmd_fleet_serving.
-func GaugeSumSeries(name string) func(obs.Snapshot) float64 {
-	return func(s obs.Snapshot) float64 {
-		fam, ok := s[name]
-		if !ok || len(fam.Children) == 0 {
-			return math.NaN()
-		}
-		var total float64
-		for _, mv := range fam.Children {
-			total += mv.Gauge
-		}
-		return total
+		return math.NaN()
 	}
 }
 
@@ -135,9 +110,12 @@ func LatencyObjective(target float64, threshold time.Duration) Objective {
 //   - drift-accuracy / drift-agreement: the drift guard's EWMAs stay
 //     above its own intervention floors; absent (NaN) when no guard
 //     is wired, so the objectives idle harmlessly.
+//   - fleet-serving: at least 75% of the fleet's shards serving.
 //
-// Thresholds mirror the subsystems' own defaults (driftguard floors
-// 0.65/0.30) so /slo agrees with the layers it watches.
+// The monitor counters are read across every shard a fleet registry
+// links (see obs.Registry.Link). Thresholds mirror the subsystems' own
+// defaults (driftguard floors 0.65/0.30) so /slo agrees with the layers
+// it watches.
 func DefaultObjectives(latencyThreshold time.Duration) []Objective {
 	if latencyThreshold <= 0 {
 		latencyThreshold = 50 * time.Millisecond
@@ -161,36 +139,10 @@ func DefaultObjectives(latencyThreshold time.Duration) []Objective {
 		BoundMin("drift-agreement",
 			"drift-guard ensemble-agreement EWMA above the drift floor",
 			0.99, 0.30, GaugeSeries("rhmd_drift_agreement_ewma")),
+		BoundMin("fleet-serving",
+			"fraction of shards serving stays ≥ 75%",
+			0.99, 0.75, GaugeSeries("rhmd_fleet_serving_fraction")),
 	}
-}
-
-// FleetObjectives extends the default set with the fleet-level SLI:
-// the serving-shard fraction stays at or above minServingFrac
-// (default 0.75) of the configured shard count.
-func FleetObjectives(latencyThreshold time.Duration, shards int, minServingFrac float64) []Objective {
-	if minServingFrac <= 0 {
-		minServingFrac = 0.75
-	}
-	objs := DefaultObjectives(latencyThreshold)
-	// The fleet exports its serving fraction pre-normalized as a gauge
-	// func; fall back to serving/shards when only the raw gauge exists
-	// (e.g. an older snapshot replayed through the engine).
-	fraction := GaugeSeries("rhmd_fleet_serving_fraction")
-	serving := GaugeSumSeries("rhmd_fleet_serving")
-	objs = append(objs, BoundMin("fleet-serving",
-		fmt.Sprintf("fraction of %d shards serving stays ≥ %.0f%%", shards, 100*minServingFrac),
-		0.99, minServingFrac,
-		func(s obs.Snapshot) float64 {
-			if v := fraction(s); !math.IsNaN(v) {
-				return v
-			}
-			v := serving(s)
-			if math.IsNaN(v) || shards <= 0 {
-				return math.NaN()
-			}
-			return v / float64(shards)
-		}))
-	return objs
 }
 
 // objectiveSpec is the -slo-config JSON form of one objective. Kind

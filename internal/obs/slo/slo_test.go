@@ -76,8 +76,8 @@ func TestNoTrafficStaysOK(t *testing.T) {
 		advance(time.Minute)
 	}
 	st := eng.Status()
-	if len(st.Objectives) != 5 {
-		t.Fatalf("status reports %d objectives, want 5", len(st.Objectives))
+	if len(st.Objectives) != 6 {
+		t.Fatalf("status reports %d objectives, want 6", len(st.Objectives))
 	}
 	for _, o := range st.Objectives {
 		if o.State != "ok" {
@@ -350,8 +350,8 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatalf("GET /slo returned unparsable JSON: %v", err)
 	}
-	if len(st.Objectives) != 5 || st.FastBurn != slo.DefaultFastBurn {
-		t.Fatalf("GET /slo = %d objectives, fast burn %v; want 5 and %v",
+	if len(st.Objectives) != 6 || st.FastBurn != slo.DefaultFastBurn {
+		t.Fatalf("GET /slo = %d objectives, fast burn %v; want 6 and %v",
 			len(st.Objectives), st.FastBurn, slo.DefaultFastBurn)
 	}
 	if st.Windows.FastShort != "5m0s" || st.Windows.SlowLong != "6h0m0s" {

@@ -52,25 +52,20 @@ type FamilySnapshot struct {
 // families), which is the same guarantee a scrape has.
 type Snapshot map[string]FamilySnapshot
 
-// Snapshot copies every registered family.
+// Snapshot copies every registered family and every family of a
+// linked registry; a linked series' key ends with its link label value.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-
-	out := make(Snapshot, len(fams))
-	for _, f := range fams {
-		f.mu.Lock()
+	views := r.gather()
+	out := make(Snapshot, len(views))
+	for _, v := range views {
 		fs := FamilySnapshot{
-			Kind:     f.kind.String(),
-			Labels:   append([]string(nil), f.labels...),
-			Children: make(map[string]MetricValue, len(f.children)),
+			Kind:     v.kind.String(),
+			Labels:   append([]string(nil), v.labels...),
+			Children: map[string]MetricValue{},
 		}
-		for key, m := range f.children {
-			switch m := m.(type) {
+		for _, rw := range v.rows() {
+			key := strings.Join(rw.values, "\x00")
+			switch m := rw.m.(type) {
 			case *Counter:
 				fs.Children[key] = MetricValue{Kind: "counter", Counter: m.Value()}
 			case *Gauge:
@@ -84,8 +79,7 @@ func (r *Registry) Snapshot() Snapshot {
 				}}
 			}
 		}
-		f.mu.Unlock()
-		out[f.name] = fs
+		out[v.name] = fs
 	}
 	return out
 }
@@ -100,10 +94,37 @@ func (s Snapshot) Counter(name string) uint64 {
 	return total
 }
 
-// CounterWith reads one labeled child of a counter family (values in
-// registration order); missing reads as zero.
+// CounterWith sums the children of a counter family whose leading label
+// values are values (in registration order): all of a family's own
+// labels select one series, summed over any link label such as a
+// fleet's shard. Missing reads as zero.
 func (s Snapshot) CounterWith(name string, values ...string) uint64 {
-	return s[name].Children[strings.Join(values, "\x00")].Counter
+	var total uint64
+	s.each(name, values, func(mv MetricValue) { total += mv.Counter })
+	return total
+}
+
+// GaugeWith sums the gauge children of a family whose leading label
+// values are values, like CounterWith; ok is false when no gauge child
+// matches.
+func (s Snapshot) GaugeWith(name string, values ...string) (v float64, ok bool) {
+	s.each(name, values, func(mv MetricValue) {
+		if mv.Kind == "gauge" {
+			v, ok = v+mv.Gauge, true
+		}
+	})
+	return v, ok
+}
+
+// each calls fn for every child of the named family whose label values
+// start with values.
+func (s Snapshot) each(name string, values []string, fn func(MetricValue)) {
+	prefix := strings.Join(values, "\x00")
+	for key, mv := range s[name].Children {
+		if len(values) == 0 || key == prefix || strings.HasPrefix(key, prefix+"\x00") {
+			fn(mv)
+		}
+	}
 }
 
 // Histogram merges a histogram family's children into one bucket

@@ -13,12 +13,12 @@ import (
 // it is safe under the determinism analyzer.
 var builtins = map[string]func(seed uint64) Spec{
 	// steady is the regression-gate scenario: fixed-rate traffic on a
-	// single engine, clean corpus, no faults. Its BENCH report is the
+	// one-shard fleet, clean corpus, no faults. Its BENCH report is the
 	// one compared against the committed baseline.
 	"steady": func(seed uint64) Spec {
 		return Spec{
 			Name:        "steady",
-			Description: "fixed-rate clean traffic on a single engine; the CI regression gate",
+			Description: "fixed-rate clean traffic on a one-shard fleet; the CI regression gate",
 			Seed:        seed,
 			Events:      96,
 			Shape:       Shape{Kind: Steady}, // unpaced: measures saturation throughput

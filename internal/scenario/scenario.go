@@ -117,8 +117,7 @@ type BreakerStorm struct {
 type Faults struct {
 	// Chaos is a monitor.ParseShardScript expression
 	// ("shard:mode:arg,..."), applied to generation 0 of each targeted
-	// shard when the scenario runs against a fleet. Ignored on the
-	// single-engine path.
+	// fleet shard.
 	Chaos string
 	// Storm, when non-nil, arms a detector breaker storm on every
 	// engine or shard.
@@ -131,8 +130,8 @@ type EngineSpec struct {
 	// Workers and QueueDepth configure each monitor.Engine.
 	Workers    int
 	QueueDepth int
-	// Shards selects the fleet path when > 1; 0 or 1 runs a single
-	// engine.
+	// Shards is the fleet's shard count; 0 selects the default of one
+	// shard.
 	Shards int
 	// WindowDeadline bounds each window classification (0 = engine
 	// default).
@@ -181,8 +180,8 @@ type Event struct {
 }
 
 // Corpus is a compiled, replayable scenario: submit Events in order,
-// honouring Delays, against engines armed with Injector and (on the
-// fleet path) Script.
+// honouring Delays, against fleet shards armed with Injector and
+// Script.
 type Corpus struct {
 	Spec   Spec
 	Events []Event

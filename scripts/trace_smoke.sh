@@ -1,8 +1,11 @@
 #!/bin/sh
 # trace_smoke.sh — end-to-end smoke for verdict span tracing: boot
 # rhmd-monitor with -trace-verdicts on an ephemeral port, scrape
-# /traces during the -hold window, and fail unless the kept set is
-# non-empty and shaped like span trees. Run via `make trace-smoke`.
+# /traces and /metrics during the -hold window, and fail unless the
+# kept set is non-empty and shaped like span trees and shard 0's
+# verdict-latency series has observations. Extra arguments go to the
+# monitor, e.g. `scripts/trace_smoke.sh -shards 2`. Run via
+# `make trace-smoke`.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -16,7 +19,7 @@ go build -o "$workdir/rhmd-monitor" ./cmd/rhmd-monitor
 "$workdir/rhmd-monitor" \
   -benign 2 -malware 2 -len 20000 \
   -trace-verdicts -keep-every 1 -exemplars \
-  -metrics-addr 127.0.0.1:0 -hold 120s \
+  -metrics-addr 127.0.0.1:0 -hold 120s "$@" \
   >"$workdir/out.log" 2>"$workdir/err.log" &
 monpid=$!
 
@@ -50,11 +53,20 @@ grep -q '"stage": *"verdict"' "$traces" || { echo "trace-smoke: no verdict root 
 grep -q '"stage": *"wal-fsync"\|"stage": *"classify"' "$traces" || { echo "trace-smoke: kept traces carry no stage spans" >&2; exit 1; }
 
 # The sampler's own accounting must agree that something was kept.
-kept="$(curl -fsS "http://$addr/metrics" | sed -n 's/^rhmd_verdict_traces_kept_total \([0-9]*\)$/\1/p')"
+metrics="$workdir/metrics.txt"
+curl -fsS "http://$addr/metrics" >"$metrics"
+kept="$(sed -n 's/^rhmd_verdict_traces_kept_total \([0-9]*\)$/\1/p' "$metrics")"
 if [ -z "$kept" ] || [ "$kept" -eq 0 ]; then
   echo "trace-smoke: rhmd_verdict_traces_kept_total is ${kept:-missing}" >&2
   exit 1
 fi
 
+# Shard engines' series reach /metrics through the fleet registry.
+verdicts="$(sed -n 's/^rhmd_monitor_verdict_latency_seconds_count{shard="0"} \([0-9]*\)$/\1/p' "$metrics")"
+if [ -z "$verdicts" ] || [ "$verdicts" -eq 0 ]; then
+  echo "trace-smoke: rhmd_monitor_verdict_latency_seconds_count{shard=\"0\"} is ${verdicts:-missing}" >&2
+  exit 1
+fi
+
 count="$(grep -c '"trace_id"' "$traces")"
-echo "trace-smoke: OK ($count kept traces on /traces, kept counter $kept)"
+echo "trace-smoke: OK${*:+ ($*)}: $count kept traces on /traces, kept counter $kept, shard 0 latency count $verdicts"
